@@ -22,7 +22,8 @@ subcommands:
   spec                                   paper Table I
   devices                                calibrated device profiles
   latency  --device dc|ull|twob-mmio|twob-dma
-           --op read|write  --size BYTES one latency probe
+           --op read|write  --size BYTES one latency probe (block: 4096;
+                                         byte path: 1..=4096)
            --trace N                     also print the last N device
                                          trace events (spans)
   gc       --churn N --seed S --trace N  background-GC churn study on a
@@ -180,6 +181,25 @@ fn latency(parsed: &Parsed) -> CliResult {
         "write" => true,
         other => return Err(format!("--op must be read or write, not {other:?}").into()),
     };
+    // The probes price exactly what they run: one 4 KiB page on a block
+    // device, and 1..=4096 bytes of a one-page pinned window on the byte
+    // path. Any other size would print a latency for a request that never
+    // ran, so it is an error, as an empty request is to the device API.
+    let block = matches!(device.as_str(), "dc" | "ull");
+    if size == 0 {
+        return Err("--size must be positive: the device rejects empty requests".into());
+    }
+    if block && size != 4096 {
+        return Err(
+            format!("--size for a block device must be 4096 (one page), not {size}").into(),
+        );
+    }
+    if size > 4096 {
+        return Err(format!(
+            "--size for {device} must be at most 4096 (one pinned page), not {size}"
+        )
+        .into());
+    }
     let (us, events) = match device.as_str() {
         "dc" => probe_block(SsdConfig::dc_ssd(), write),
         "ull" => probe_block(SsdConfig::ull_ssd(), write),
@@ -188,7 +208,7 @@ fn latency(parsed: &Parsed) -> CliResult {
             dev.set_tracing(true);
             let pin = dev.ba_pin(SimTime::ZERO, EntryId(0), 0, Lba(0), 1)?;
             let t = pin.complete_at + SimDuration::from_millis(1);
-            let len = size.clamp(1, 4096);
+            let len = size;
             let us = if write {
                 let data = vec![0x5Au8; len as usize];
                 let store = dev.mmio_write(t, EntryId(0), 0, &data)?;
@@ -1336,6 +1356,31 @@ mod tests {
         assert!(run(&["serve", "--rate", "0"]).is_err());
         assert!(run(&["serve", "--slo-p99-us", "0"]).is_err());
         assert!(run(&["latency", "--trace", "yes"]).is_err());
+        for device in ["dc", "ull", "twob-mmio", "twob-dma"] {
+            for op in ["read", "write"] {
+                let probe =
+                    |size: &str| run(&["latency", "--device", device, "--op", op, "--size", size]);
+                assert!(probe("0").is_err(), "{device} {op} of 0 B must be refused");
+                assert!(
+                    probe("4097").is_err(),
+                    "{device} {op} of 4097 B is not priced"
+                );
+                assert!(probe("4096").is_ok(), "{device} {op} of one page runs");
+            }
+        }
+        // Block devices price exactly one page; sub-page sizes never ran.
+        assert!(run(&["latency", "--device", "dc", "--size", "512"]).is_err());
+        assert!(run(&["latency", "--device", "ull", "--op", "write", "--size", "8"]).is_err());
+        assert!(run(&[
+            "latency",
+            "--device",
+            "twob-mmio",
+            "--op",
+            "write",
+            "--size",
+            "8"
+        ])
+        .is_ok());
         assert!(run(&["faults", "retry"]).is_err());
         assert!(run(&["faults", "sweep", "--cuts", "0"]).is_err());
         assert!(run(&["repl", "--mode", "carrier-pigeon"]).is_err());

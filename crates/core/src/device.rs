@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use twob_ftl::Lba;
 use twob_pcie::{
-    AddressTranslationUnit, Bar, CxlChannel, CxlTimings, HostByteChannel, PcieTimings,
+    AddressTranslationUnit, Bar, CxlChannel, CxlTimings, HostByteChannel, PcieTimings, PostedWrite,
 };
 use twob_sim::{SimTime, TraceEvent, TraceRing};
 use twob_ssd::{BlockDevice, BlockRead, Ssd, SsdConfig, SsdError};
@@ -276,6 +276,17 @@ impl TwoBSsd {
         self.table.free_buffer_offset(pages)
     }
 
+    /// Lands the fragments a host channel posted: translates each BAR1
+    /// offset to its DRAM address and applies the bytes to the BA-buffer,
+    /// in posting order, straight from the channel's outcome.
+    fn land(&mut self, posted: &[PostedWrite]) -> Result<(), TwoBError> {
+        for p in posted {
+            let dram = self.atu.translate(p.offset, p.data.len() as u64)?;
+            self.buffer.apply(dram, &p.data, p.lands_at);
+        }
+        Ok(())
+    }
+
     fn check_power(&self) -> Result<(), TwoBError> {
         if self.ssd.is_powered() {
             Ok(())
@@ -401,16 +412,7 @@ impl TwoBSsd {
         let sync = self
             .chan
             .sync_range(now, entry.buffer_offset, entry.len_bytes());
-        for posted in &sync.posted {
-            let dram = self
-                .atu
-                .translate(posted.offset, posted.data.len() as u64)?;
-            self.buffer.apply_posted(&twob_pcie::PostedWrite {
-                offset: dram,
-                data: posted.data.clone(),
-                lands_at: posted.lands_at,
-            });
-        }
+        self.land(&sync.posted)?;
         self.buffer.settle(now);
         self.stats.syncs += 1;
         Ok(ApiCompletion {
@@ -449,16 +451,7 @@ impl TwoBSsd {
         let sync = self
             .chan
             .sync_range(now, entry.buffer_offset + rel_offset, len);
-        for posted in &sync.posted {
-            let dram = self
-                .atu
-                .translate(posted.offset, posted.data.len() as u64)?;
-            self.buffer.apply_posted(&twob_pcie::PostedWrite {
-                offset: dram,
-                data: posted.data.clone(),
-                lands_at: posted.lands_at,
-            });
-        }
+        self.land(&sync.posted)?;
         self.buffer.settle(now);
         self.stats.syncs += 1;
         Ok(ApiCompletion {
@@ -561,16 +554,7 @@ impl TwoBSsd {
         self.check_power()?;
         self.bar1.check(bar_offset, data.len() as u64)?;
         let outcome = self.chan.store(now, bar_offset, data);
-        for posted in &outcome.posted {
-            let dram = self
-                .atu
-                .translate(posted.offset, posted.data.len() as u64)?;
-            self.buffer.apply_posted(&twob_pcie::PostedWrite {
-                offset: dram,
-                data: posted.data.clone(),
-                lands_at: posted.lands_at,
-            });
-        }
+        self.land(&outcome.posted)?;
         self.stats.mmio_stores += 1;
         self.stats.bytes_stored += data.len() as u64;
         Ok(MmioStoreOutcome {
@@ -607,16 +591,7 @@ impl TwoBSsd {
         let bar_offset = entry.buffer_offset + rel_offset;
         self.bar1.check(bar_offset, len)?;
         let read = self.chan.read(now, len);
-        for posted in &read.posted {
-            let dram = self
-                .atu
-                .translate(posted.offset, posted.data.len() as u64)?;
-            self.buffer.apply_posted(&twob_pcie::PostedWrite {
-                offset: dram,
-                data: posted.data.clone(),
-                lands_at: posted.lands_at,
-            });
-        }
+        self.land(&read.posted)?;
         let dram = self.atu.translate(bar_offset, len)?;
         let data = self.buffer.read(dram, len).to_vec();
         self.stats.mmio_loads += 1;
@@ -656,16 +631,7 @@ impl TwoBSsd {
         let bar_offset = entry.buffer_offset + rel_offset;
         self.bar1.check(bar_offset, data.len() as u64)?;
         let outcome = self.cxl.store(now, bar_offset, data);
-        for posted in &outcome.posted {
-            let dram = self
-                .atu
-                .translate(posted.offset, posted.data.len() as u64)?;
-            self.buffer.apply_posted(&twob_pcie::PostedWrite {
-                offset: dram,
-                data: posted.data.clone(),
-                lands_at: posted.lands_at,
-            });
-        }
+        self.land(&outcome.posted)?;
         self.stats.cxl_stores += 1;
         self.stats.bytes_stored += data.len() as u64;
         Ok(MmioStoreOutcome {
@@ -703,16 +669,7 @@ impl TwoBSsd {
         let bar_offset = entry.buffer_offset + rel_offset;
         self.bar1.check(bar_offset, len)?;
         let read = self.cxl.load(now, len);
-        for posted in &read.posted {
-            let dram = self
-                .atu
-                .translate(posted.offset, posted.data.len() as u64)?;
-            self.buffer.apply_posted(&twob_pcie::PostedWrite {
-                offset: dram,
-                data: posted.data.clone(),
-                lands_at: posted.lands_at,
-            });
-        }
+        self.land(&read.posted)?;
         let dram = self.atu.translate(bar_offset, len)?;
         let data = self.buffer.read(dram, len).to_vec();
         self.stats.cxl_loads += 1;
@@ -754,16 +711,7 @@ impl TwoBSsd {
         let sync = self
             .cxl
             .persist_barrier(now, entry.buffer_offset + rel_offset, len);
-        for posted in &sync.posted {
-            let dram = self
-                .atu
-                .translate(posted.offset, posted.data.len() as u64)?;
-            self.buffer.apply_posted(&twob_pcie::PostedWrite {
-                offset: dram,
-                data: posted.data.clone(),
-                lands_at: posted.lands_at,
-            });
-        }
+        self.land(&sync.posted)?;
         self.buffer.settle(now);
         self.stats.cxl_persists += 1;
         Ok(ApiCompletion {

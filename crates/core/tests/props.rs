@@ -6,7 +6,6 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 use twob_core::{BaBuffer, EntryId, MappingTable, PinError, PinTable, TenantId, TwoBSsd};
 use twob_ftl::Lba;
-use twob_pcie::PostedWrite;
 use twob_sim::{SimDuration, SimTime};
 use twob_ssd::BlockDevice;
 
@@ -75,11 +74,7 @@ fn regression_overlapping_unlanded_writes_roll_back() {
         let offset = offset % (256 - data.len() as u64);
         land_clock += land_delta + 1;
         let lands_at = SimTime::from_nanos(land_clock);
-        real.apply_posted(&PostedWrite {
-            offset,
-            data: data.clone(),
-            lands_at,
-        });
+        real.apply(offset, data, lands_at);
         if lands_at <= cut_time {
             model[offset as usize..offset as usize + data.len()].copy_from_slice(data);
         }
@@ -168,36 +163,42 @@ proptest! {
 
     /// Rolling back the BA-buffer at time T yields exactly the state of
     /// the prefix of fragments that landed by T. Landing instants are
-    /// monotonic in apply order, as PCIe posted-write FIFO ordering
-    /// guarantees on real hardware.
+    /// monotonic in apply order (ties allowed), as PCIe posted-write FIFO
+    /// ordering guarantees on real hardware. Fragments run from 1 to 300
+    /// bytes — past the 64-byte line a channel ever posts, so the rollback
+    /// journal is exercised beyond its common case — and offsets cluster
+    /// around line boundaries, so writes straddle lines and overlap each
+    /// other. Settling at a random instant before the cut must not change
+    /// what the cut rolls back.
     #[test]
     fn buffer_rollback_is_prefix_state(
         writes in prop::collection::vec(
-            (0u64..200, prop::collection::vec(any::<u8>(), 1..32), 0u64..50),
+            (0u64..16, 0u64..72, prop::collection::vec(any::<u8>(), 1..301), 0u64..50),
             1..30
         ),
-        cut in 0u64..1500
+        cut in 0u64..1500,
+        settle_at in 0u64..1500
     ) {
-        let mut real = BaBuffer::new(256);
-        let mut model = vec![0u8; 256];
+        const CAP: u64 = 1024;
+        let mut real = BaBuffer::new(CAP);
+        let mut model = vec![0u8; CAP as usize];
         let cut_time = SimTime::from_nanos(cut);
         let mut land_clock = 0u64;
-        for (offset, data, land_delta) in &writes {
-            let offset = offset % (256 - data.len() as u64);
-            land_clock += land_delta + 1; // strictly increasing
+        for (line, skew, data, land_delta) in &writes {
+            // Start up to 8 bytes before a line boundary or well inside it.
+            let offset = (line * 64 + skew).saturating_sub(8) % (CAP - data.len() as u64);
+            land_clock += land_delta;
             let lands_at = SimTime::from_nanos(land_clock);
-            real.apply_posted(&PostedWrite {
-                offset,
-                data: data.clone(),
-                lands_at,
-            });
+            real.apply(offset, data, lands_at);
             if lands_at <= cut_time {
                 model[offset as usize..offset as usize + data.len()]
                     .copy_from_slice(data);
             }
         }
+        real.settle(SimTime::from_nanos(settle_at.min(cut)));
         real.power_loss(cut_time);
-        prop_assert_eq!(real.read(0, 256), &model[..]);
+        prop_assert_eq!(real.read(0, CAP), &model[..]);
+        prop_assert_eq!(real.inflight_bytes(), 0);
     }
 
     /// Dual-path invariant: after pin → MMIO writes → sync → flush, the

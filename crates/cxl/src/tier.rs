@@ -526,15 +526,14 @@ impl TieredWal {
     /// [`WalError::RecordTooLarge`] if the record cannot fit a window,
     /// or device/arbiter failures.
     pub fn append(&mut self, now: SimTime, payload: &[u8]) -> Result<CommitOutcome, WalError> {
-        let record = LogRecord::new(Lsn(self.next_lsn), payload.to_vec());
-        let bytes = record.encode();
+        let lsn = Lsn(self.next_lsn);
+        let bytes = LogRecord::encode_parts(lsn, payload);
         if bytes.len() as u64 > self.window_bytes() {
             return Err(WalError::RecordTooLarge {
                 got: bytes.len(),
                 max: self.window_bytes() as usize,
             });
         }
-        let lsn = record.lsn;
         self.next_lsn += 1;
         let mut t = (now + self.cfg.wal.record_overhead).max(self.ready_at);
         if self.used + bytes.len() as u64 > self.window_bytes() {

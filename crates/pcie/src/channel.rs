@@ -3,18 +3,20 @@
 
 use twob_sim::{SimDuration, SimTime};
 
-use crate::timings::LINE;
+use crate::lines::{LineBytes, LineSet};
 use crate::PcieTimings;
 
 /// A posted write in flight to the device: a byte fragment plus the instant
 /// it lands in device DRAM. The device model applies the bytes, and
 /// fault-injection discards fragments whose `lands_at` is after the outage.
+///
+/// A fragment never crosses a 64-byte line, so its bytes are held inline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PostedWrite {
     /// Byte offset within the mapped window.
     pub offset: u64,
-    /// The bytes written.
-    pub data: Vec<u8>,
+    /// The bytes written (at most one line, all inside one line).
+    pub data: LineBytes,
     /// When the fragment reaches device DRAM.
     pub lands_at: SimTime,
 }
@@ -59,21 +61,14 @@ pub struct ReadOutcome {
     pub posted: Vec<PostedWrite>,
 }
 
-#[derive(Debug, Clone)]
-struct WcLine {
-    line: u64,
-    fragments: Vec<(u64, Vec<u8>)>,
-    first_store_at: SimTime,
-}
-
 /// One CPU's write-combining view of one mapped device window, plus the
 /// PCIe transactions it generates. See the crate docs for the semantics.
 #[derive(Debug, Clone)]
 pub struct HostByteChannel {
     timings: PcieTimings,
-    lines: Vec<WcLine>,
-    /// Landing instant of the latest posted write, for verify ordering.
-    last_land: SimTime,
+    /// Dirty WC lines, and the landing instant of the latest posted write
+    /// (for verify ordering).
+    lines: LineSet,
 }
 
 impl HostByteChannel {
@@ -81,8 +76,7 @@ impl HostByteChannel {
     pub fn new(timings: PcieTimings) -> Self {
         HostByteChannel {
             timings,
-            lines: Vec::new(),
-            last_land: SimTime::ZERO,
+            lines: LineSet::default(),
         }
     }
 
@@ -93,11 +87,7 @@ impl HostByteChannel {
 
     /// Bytes currently sitting in WC buffers — at risk until synced.
     pub fn wc_resident_bytes(&self) -> usize {
-        self.lines
-            .iter()
-            .flat_map(|l| l.fragments.iter())
-            .map(|(_, d)| d.len())
-            .sum()
+        self.lines.resident_bytes()
     }
 
     /// Number of dirty WC lines.
@@ -105,25 +95,8 @@ impl HostByteChannel {
         self.lines.len()
     }
 
-    fn post_line(&mut self, line: WcLine, lands_at: SimTime) -> Vec<PostedWrite> {
-        self.last_land = self.last_land.max(lands_at);
-        line.fragments
-            .into_iter()
-            .map(|(offset, data)| PostedWrite {
-                offset,
-                data,
-                lands_at,
-            })
-            .collect()
-    }
-
     fn drain_all(&mut self, at: SimTime) -> Vec<PostedWrite> {
-        let lands_at = at + self.timings.posted_flight;
-        let lines = std::mem::take(&mut self.lines);
-        lines
-            .into_iter()
-            .flat_map(|l| self.post_line(l, lands_at))
-            .collect()
+        self.lines.drain_all(at + self.timings.posted_flight)
     }
 
     /// CPU store of `data` at `offset`. Models WC accumulation: the store
@@ -131,50 +104,15 @@ impl HostByteChannel {
     /// capacity-evicted lines post toward the device.
     pub fn store(&mut self, now: SimTime, offset: u64, data: &[u8]) -> StoreOutcome {
         let retired_at = now + self.timings.mmio_write(data.len() as u64);
-        // Distribute the bytes over 64-byte lines.
-        let mut cursor = 0usize;
-        while cursor < data.len() {
-            let abs = offset + cursor as u64;
-            let line = abs / LINE;
-            let line_end = (line + 1) * LINE;
-            let take = ((line_end - abs) as usize).min(data.len() - cursor);
-            let fragment = data[cursor..cursor + take].to_vec();
-            match self.lines.iter_mut().find(|l| l.line == line) {
-                Some(existing) => existing.fragments.push((abs, fragment)),
-                None => self.lines.push(WcLine {
-                    line,
-                    fragments: vec![(abs, fragment)],
-                    first_store_at: now,
-                }),
-            }
-            cursor += take;
-        }
+        self.lines.insert(now, offset, data);
         let mut posted = Vec::new();
+        let lands_at = retired_at + self.timings.posted_flight;
         // Linger eviction: the CPU opportunistically drains old lines.
-        let linger = self.timings.wc_linger;
-        let mut i = 0;
-        while i < self.lines.len() {
-            if self.lines[i].first_store_at + linger <= retired_at {
-                let line = self.lines.remove(i);
-                let lands_at = retired_at + self.timings.posted_flight;
-                posted.extend(self.post_line(line, lands_at));
-            } else {
-                i += 1;
-            }
-        }
+        self.lines
+            .post_lingering(self.timings.wc_linger, retired_at, lands_at, &mut posted);
         // Capacity eviction: oldest lines go first.
-        while self.lines.len() > self.timings.wc_buffers {
-            let oldest = self
-                .lines
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.first_store_at)
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            let line = self.lines.remove(oldest);
-            let lands_at = retired_at + self.timings.posted_flight;
-            posted.extend(self.post_line(line, lands_at));
-        }
+        self.lines
+            .evict_to(self.timings.wc_buffers, lands_at, &mut posted);
         StoreOutcome { retired_at, posted }
     }
 
@@ -192,7 +130,7 @@ impl HostByteChannel {
     /// Because reads are non-posted and cannot pass writes at the root
     /// complex, its completion implies all earlier posted writes committed.
     pub fn verify_read(&mut self, now: SimTime) -> SimTime {
-        now.max(self.last_land) + self.timings.verify_rtt
+        now.max(self.lines.last_land) + self.timings.verify_rtt
     }
 
     /// The full persistence operation: flush + fence + verify read.
@@ -222,7 +160,7 @@ impl HostByteChannel {
     /// issues serialized 8-byte non-posted TLPs.
     pub fn read(&mut self, now: SimTime, len: u64) -> ReadOutcome {
         let posted = self.drain_all(now);
-        let start = now.max(self.last_land.min(now + self.timings.posted_flight));
+        let start = now.max(self.lines.last_land.min(now + self.timings.posted_flight));
         let complete_at = start + self.timings.mmio_read(len);
         ReadOutcome {
             complete_at,
@@ -233,10 +171,7 @@ impl HostByteChannel {
     /// Discards all WC-resident data, as a power failure would.
     /// Returns how many bytes were lost.
     pub fn power_loss(&mut self) -> usize {
-        let lost = self.wc_resident_bytes();
-        self.lines.clear();
-        self.last_land = SimTime::ZERO;
-        lost
+        self.lines.power_loss()
     }
 
     /// Host-side latency of a persistent write of `len` bytes: store +
@@ -330,7 +265,7 @@ mod tests {
         assert!(out
             .posted
             .iter()
-            .any(|p| p.offset == 0 && p.data == vec![1u8; 8]));
+            .any(|p| p.offset == 0 && *p.data == [1u8; 8]));
     }
 
     #[test]

@@ -26,8 +26,9 @@
 use serde::{Deserialize, Serialize};
 use twob_sim::{SimDuration, SimTime};
 
+use crate::lines::LineSet;
 use crate::timings::{lines_spanned, LINE};
-use crate::{PostedWrite, ReadOutcome, StoreOutcome, SyncOutcome};
+use crate::{ReadOutcome, StoreOutcome, SyncOutcome};
 
 /// Timing constants of the CXL.mem byte path.
 ///
@@ -95,13 +96,6 @@ impl CxlTimings {
     }
 }
 
-#[derive(Debug, Clone)]
-struct DirtyLine {
-    line: u64,
-    fragments: Vec<(u64, Vec<u8>)>,
-    first_store_at: SimTime,
-}
-
 /// One CPU's cached view of one CXL.mem-mapped device window, plus the
 /// write-back traffic it generates. The dirty-line cache is the risk
 /// window: lines that have not written back are lost on power failure,
@@ -109,9 +103,9 @@ struct DirtyLine {
 #[derive(Debug, Clone)]
 pub struct CxlChannel {
     timings: CxlTimings,
-    lines: Vec<DirtyLine>,
-    /// Landing instant of the latest write-back, for barrier ordering.
-    last_land: SimTime,
+    /// Dirty cache lines, and the landing instant of the latest write-back
+    /// (for barrier ordering).
+    lines: LineSet,
 }
 
 impl CxlChannel {
@@ -119,8 +113,7 @@ impl CxlChannel {
     pub fn new(timings: CxlTimings) -> Self {
         CxlChannel {
             timings,
-            lines: Vec::new(),
-            last_land: SimTime::ZERO,
+            lines: LineSet::default(),
         }
     }
 
@@ -131,11 +124,7 @@ impl CxlChannel {
 
     /// Bytes currently dirty in the cache — at risk until persisted.
     pub fn dirty_bytes(&self) -> usize {
-        self.lines
-            .iter()
-            .flat_map(|l| l.fragments.iter())
-            .map(|(_, d)| d.len())
-            .sum()
+        self.lines.resident_bytes()
     }
 
     /// Number of dirty cache lines.
@@ -143,63 +132,17 @@ impl CxlChannel {
         self.lines.len()
     }
 
-    fn post_line(&mut self, line: DirtyLine, lands_at: SimTime) -> Vec<PostedWrite> {
-        self.last_land = self.last_land.max(lands_at);
-        line.fragments
-            .into_iter()
-            .map(|(offset, data)| PostedWrite {
-                offset,
-                data,
-                lands_at,
-            })
-            .collect()
-    }
-
-    fn drain_all(&mut self, at: SimTime) -> Vec<PostedWrite> {
-        let lands_at = at + self.timings.write_back_flight;
-        let lines = std::mem::take(&mut self.lines);
-        lines
-            .into_iter()
-            .flat_map(|l| self.post_line(l, lands_at))
-            .collect()
-    }
-
     /// Cache-line store of `data` at `offset`. The store retires into the
     /// CPU cache; capacity pressure writes the oldest dirty lines back
     /// toward the device (the returned fragments).
     pub fn store(&mut self, now: SimTime, offset: u64, data: &[u8]) -> StoreOutcome {
         let retired_at = now + self.timings.store(data.len() as u64);
-        let mut cursor = 0usize;
-        while cursor < data.len() {
-            let abs = offset + cursor as u64;
-            let line = abs / LINE;
-            let line_end = (line + 1) * LINE;
-            let take = ((line_end - abs) as usize).min(data.len() - cursor);
-            let fragment = data[cursor..cursor + take].to_vec();
-            match self.lines.iter_mut().find(|l| l.line == line) {
-                Some(existing) => existing.fragments.push((abs, fragment)),
-                None => self.lines.push(DirtyLine {
-                    line,
-                    fragments: vec![(abs, fragment)],
-                    first_store_at: now,
-                }),
-            }
-            cursor += take;
-        }
+        self.lines.insert(now, offset, data);
         // Capacity write-back: oldest dirty lines leave first.
         let mut posted = Vec::new();
-        while self.lines.len() > self.timings.dirty_line_cap {
-            let oldest = self
-                .lines
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.first_store_at)
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            let line = self.lines.remove(oldest);
-            let lands_at = retired_at + self.timings.write_back_flight;
-            posted.extend(self.post_line(line, lands_at));
-        }
+        let lands_at = retired_at + self.timings.write_back_flight;
+        self.lines
+            .evict_to(self.timings.dirty_line_cap, lands_at, &mut posted);
         StoreOutcome { retired_at, posted }
     }
 
@@ -209,8 +152,12 @@ impl CxlChannel {
     /// and device; pricing is unaffected because a load costs the same
     /// either way).
     pub fn load(&mut self, now: SimTime, len: u64) -> ReadOutcome {
-        let posted = self.drain_all(now);
-        let start = now.max(self.last_land.min(now + self.timings.write_back_flight));
+        let posted = self.lines.drain_all(now + self.timings.write_back_flight);
+        let start = now.max(
+            self.lines
+                .last_land
+                .min(now + self.timings.write_back_flight),
+        );
         let complete_at = start + self.timings.load(len);
         ReadOutcome {
             complete_at,
@@ -225,8 +172,11 @@ impl CxlChannel {
     /// lands at or before it.
     pub fn persist_barrier(&mut self, now: SimTime, offset: u64, len: u64) -> SyncOutcome {
         let flushed_at = now + self.timings.persist(offset, len);
-        let posted = self.drain_all(flushed_at);
+        let posted = self
+            .lines
+            .drain_all(flushed_at + self.timings.write_back_flight);
         let durable_at = self
+            .lines
             .last_land
             .max(flushed_at + self.timings.write_back_flight);
         SyncOutcome { durable_at, posted }
@@ -235,10 +185,7 @@ impl CxlChannel {
     /// Discards all cache-resident dirty data, as a power failure would.
     /// Returns how many bytes were lost.
     pub fn power_loss(&mut self) -> usize {
-        let lost = self.dirty_bytes();
-        self.lines.clear();
-        self.last_land = SimTime::ZERO;
-        lost
+        self.lines.power_loss()
     }
 
     /// Host-side latency of a persistent store of `len` bytes: store +

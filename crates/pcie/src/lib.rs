@@ -42,6 +42,7 @@
 mod bar;
 mod channel;
 mod cxl;
+mod lines;
 mod timings;
 
 pub use bar::{AddressTranslationUnit, Bar, BarError};
@@ -49,4 +50,5 @@ pub use channel::{
     FlushOutcome, HostByteChannel, PostedWrite, ReadOutcome, StoreOutcome, SyncOutcome,
 };
 pub use cxl::{CxlChannel, CxlTimings};
+pub use lines::LineBytes;
 pub use timings::PcieTimings;

@@ -2,8 +2,41 @@
 //! conservation invariants.
 
 use proptest::prelude::*;
-use twob_pcie::{HostByteChannel, PcieTimings};
+use twob_pcie::{CxlChannel, CxlTimings, HostByteChannel, PcieTimings, PostedWrite};
 use twob_sim::SimTime;
+
+const WINDOW: usize = 8192;
+
+/// Checks every fragment fits one 64-byte line, and applies it to `window`.
+fn land_checked(window: &mut [u8], posted: &[PostedWrite]) -> Result<(), TestCaseError> {
+    for p in posted {
+        let len = p.data.len() as u64;
+        prop_assert!((1..=64).contains(&len), "fragment of {} bytes", len);
+        prop_assert_eq!(
+            p.offset / 64,
+            (p.offset + len - 1) / 64,
+            "fragment crosses a line"
+        );
+        let at = p.offset as usize;
+        window[at..at + p.data.len()].copy_from_slice(&p.data);
+    }
+    Ok(())
+}
+
+/// One step of a byte-path history: a store of `len` bytes at `offset`
+/// filled with `fill`, followed by nothing, a full drain (sync / persist),
+/// or a read (which drains too).
+fn byte_path_ops() -> impl Strategy<Value = Vec<(u64, usize, u8, u8)>> {
+    prop::collection::vec(
+        (
+            0u64..(WINDOW as u64 - 300),
+            1usize..300,
+            any::<u8>(),
+            0u8..8,
+        ),
+        1..40,
+    )
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -86,6 +119,72 @@ proptest! {
             out.retired_at.saturating_since(SimTime::ZERO),
             timings.mmio_write(len)
         );
+    }
+
+    /// Every fragment the MMIO channel posts holds 1–64 bytes inside one
+    /// line, and landing them in posting order reproduces exactly what the
+    /// stores wrote.
+    #[test]
+    fn mmio_fragments_stay_inside_one_line(ops in byte_path_ops()) {
+        let mut chan = HostByteChannel::new(PcieTimings::default());
+        let mut window = vec![0u8; WINDOW];
+        let mut model = vec![0u8; WINDOW];
+        let mut t = SimTime::ZERO;
+        for (offset, len, fill, next) in ops {
+            let data = vec![fill; len];
+            model[offset as usize..offset as usize + len].copy_from_slice(&data);
+            let store = chan.store(t, offset, &data);
+            land_checked(&mut window, &store.posted)?;
+            t = store.retired_at;
+            match next {
+                0 => {
+                    let sync = chan.sync_range(t, offset, len as u64);
+                    land_checked(&mut window, &sync.posted)?;
+                    t = sync.durable_at;
+                }
+                1 => {
+                    let read = chan.read(t, 8);
+                    land_checked(&mut window, &read.posted)?;
+                    t = read.complete_at;
+                }
+                _ => {}
+            }
+        }
+        let sync = chan.sync(t);
+        land_checked(&mut window, &sync.posted)?;
+        prop_assert!(window == model, "landed bytes differ from the stores");
+    }
+
+    /// The same for the CXL.mem channel's write-backs.
+    #[test]
+    fn cxl_fragments_stay_inside_one_line(ops in byte_path_ops()) {
+        let mut chan = CxlChannel::new(CxlTimings::default());
+        let mut window = vec![0u8; WINDOW];
+        let mut model = vec![0u8; WINDOW];
+        let mut t = SimTime::ZERO;
+        for (offset, len, fill, next) in ops {
+            let data = vec![fill; len];
+            model[offset as usize..offset as usize + len].copy_from_slice(&data);
+            let store = chan.store(t, offset, &data);
+            land_checked(&mut window, &store.posted)?;
+            t = store.retired_at;
+            match next {
+                0 => {
+                    let persist = chan.persist_barrier(t, offset, len as u64);
+                    land_checked(&mut window, &persist.posted)?;
+                    t = persist.durable_at;
+                }
+                1 => {
+                    let load = chan.load(t, 8);
+                    land_checked(&mut window, &load.posted)?;
+                    t = load.complete_at;
+                }
+                _ => {}
+            }
+        }
+        let persist = chan.persist_barrier(t, 0, WINDOW as u64);
+        land_checked(&mut window, &persist.posted)?;
+        prop_assert!(window == model, "written-back bytes differ from the stores");
     }
 
     /// Power loss always zeroes the WC residue and reports exactly what

@@ -23,6 +23,8 @@
 //! (drops, duplication, partitions, failover) stays with the sequential
 //! [`ReplicaSet`], whose retransmit machinery needs a global view.
 
+use std::sync::Arc;
+
 use twob_core::TwoBSsd;
 use twob_sim::{Histogram, ShardCtx, ShardedExecutor, SimRng, SimTime};
 use twob_wal::{BaWal, WalConfig, WalError, WalWriter};
@@ -77,8 +79,9 @@ impl Default for ClusterConfig {
 enum Ev {
     /// The client issues commit `txn` on the primary.
     Issue { txn: u64 },
-    /// Commit `txn`'s record arrives at a replica.
-    Deliver { txn: u64, payload: Vec<u8> },
+    /// Commit `txn`'s record arrives at a replica. The primary ships one
+    /// record buffer to every replica.
+    Deliver { txn: u64, payload: Arc<[u8]> },
     /// A replica's durability ack for `txn` arrives at the primary.
     Ack { txn: u64 },
 }
@@ -105,7 +108,7 @@ fn mix(h: u64, v: u64) -> u64 {
 }
 
 /// Deterministic commit payload: the txn id spread over `bytes`.
-fn payload_for(txn: u64, bytes: usize) -> Vec<u8> {
+fn payload_for(txn: u64, bytes: usize) -> Arc<[u8]> {
     (0..bytes)
         .map(|i| (txn as u8).wrapping_mul(31).wrapping_add(i as u8))
         .collect()

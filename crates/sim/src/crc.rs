@@ -14,16 +14,61 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc32_update(!0u32, bytes) ^ !0u32
 }
 
+/// Slice-by-8 lookup tables: `CRC_TABLES[0]` is the classic byte-at-a-time
+/// table, and `CRC_TABLES[k][b]` advances the CRC of byte `b` through `k`
+/// further zero bytes, so eight table lookups fold eight input bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
 /// Streaming form: feed chunks into a running state initialized with
 /// `!0u32`, and finish by xoring with `!0u32`.
+///
+/// Slice-by-8: eight bytes per step through [`CRC_TABLES`], then the tail a
+/// byte at a time. Bit-identical to the textbook bit-at-a-time loop for any
+/// data, split and initial state (a proptest pins it against that loop).
 pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = state;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     crc
 }

@@ -87,8 +87,8 @@
 //! assert_eq!(hops[1], vec![(10_000, 2), (30_000, 0)]);
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 
 use crate::{Executor, SimDuration, SimTime};
 
@@ -352,7 +352,7 @@ impl<E> ShardedExecutor<E> {
         for outbox in &mut self.outboxes {
             self.mail.append(outbox);
         }
-        self.mail.sort_by_key(|m| (m.at, m.src, m.order));
+        self.mail.sort_unstable_by_key(|m| (m.at, m.src, m.order));
         for m in self.mail.drain(..) {
             debug_assert!(
                 m.at >= self.shards[m.dst].now(),
@@ -456,21 +456,39 @@ impl<E> ShardedExecutor<E> {
         }
     }
 
-    /// Like [`ShardedExecutor::run`], but shards are fanned out across
-    /// persistent worker threads that stay alive for the whole drive and
-    /// meet at two barriers per round (snapshot, delivery) — no thread is
-    /// spawned per round, no buffer allocated per round.
+    /// Like [`ShardedExecutor::run`], but each round's shards are drained
+    /// by persistent worker threads (the calling thread is one of them)
+    /// that stay alive for the whole drive and meet at **one
+    /// synchronisation point per round** — no thread is spawned per round,
+    /// no buffer allocated per round.
     ///
-    /// `threads` is clamped to the shard count *and* the host's available
-    /// parallelism: more workers than cores add context switches without
-    /// concurrency, and the firing sequence is thread-count-invariant by
-    /// construction, so nothing observable changes. With one effective
-    /// worker this is exactly the sequential adaptive loop.
+    /// The shards are split into one contiguous chunk per worker. Each
+    /// round, a worker claims its own chunk first, then any chunk whose
+    /// owner has not started on it yet, so a descheduled worker holds up
+    /// nobody unless it is in the middle of a chunk. The claimer of a chunk
+    /// delivers the mail routed to it in the previous round, drains each of
+    /// its shards through the same hint [`ShardedExecutor::run`] computes,
+    /// and publishes two things: every shard's post-drain next-event time,
+    /// and the earliest envelope it sent to each destination. The worker
+    /// that finishes a round's last chunk folds those into the
+    /// post-delivery snapshot the sequential loop would take — a shard's
+    /// next event is its post-drain next event or its earliest incoming
+    /// envelope — and opens the next round. Mail is double-buffered by
+    /// round parity: a round's envelopes are taken only in the next round,
+    /// which opens once every sender has finished. A worker with nothing
+    /// left to claim spins briefly, then parks, so it never burns the core
+    /// the remaining work needs.
+    ///
+    /// Which thread drains a chunk never changes what its shards fire, so
+    /// the firing sequence and the round count are identical to
+    /// [`ShardedExecutor::run`] at any thread count. `threads` is clamped
+    /// to the shard count *and* the host's available parallelism; with one
+    /// effective worker this is exactly the sequential adaptive loop.
     ///
     /// # Panics
     ///
     /// Panics if `states.len()` differs from the shard count or `threads`
-    /// is zero.
+    /// is zero, or if a handler panics on any worker.
     pub fn run_parallel<S, F>(&mut self, states: &mut [S], handler: &F, threads: usize)
     where
         E: Send,
@@ -485,137 +503,345 @@ impl<E> ShardedExecutor<E> {
             while self.adaptive_round(states, handler) {}
             return;
         }
-        let n = self.len();
-        let chunk = n.div_ceil(threads);
-        let workers = n.div_ceil(chunk);
-        let lookahead = self.lookahead;
-        let barrier = Barrier::new(workers);
-        // Published next-event times (nanoseconds, MAX = idle). The round
-        // barriers provide the cross-thread happens-before edges, so all
-        // atomic accesses can be relaxed.
-        let next_ns: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        // One mailbox per worker: senders stage envelopes by destination
-        // worker and push once per round, receivers swap the batch out.
-        let mailboxes: Vec<Mutex<Vec<Envelope<E>>>> =
-            (0..workers).map(|_| Mutex::new(Vec::new())).collect();
-        let rounds = AtomicU64::new(0);
-        let batched = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for (wi, ((shards, states), outboxes)) in self
-                .shards
-                .chunks_mut(chunk)
-                .zip(states.chunks_mut(chunk))
-                .zip(self.outboxes.chunks_mut(chunk))
-                .enumerate()
-            {
-                let barrier = &barrier;
-                let next_ns = &next_ns;
-                let mailboxes = &mailboxes;
-                let rounds = &rounds;
-                let batched = &batched;
-                scope.spawn(move || {
-                    worker_loop(
-                        wi, chunk, lookahead, shards, states, outboxes, barrier, next_ns,
-                        mailboxes, rounds, batched, handler,
-                    );
-                });
-            }
-        });
-        self.rounds += rounds.into_inner();
-        self.batched_rounds += batched.into_inner();
+        let chunk = self.len().div_ceil(threads);
+        let chunks: Vec<_> = self
+            .shards
+            .chunks_mut(chunk)
+            .zip(states.chunks_mut(chunk))
+            .zip(self.outboxes.chunks_mut(chunk))
+            .enumerate()
+            .map(|(c, ((shards, states), outboxes))| {
+                Mutex::new(Chunk {
+                    base: c * chunk,
+                    shards,
+                    states,
+                    outboxes,
+                })
+            })
+            .collect();
+        let workers = chunks.len();
+        let pool = RoundPool::new(chunks, chunk, self.lookahead);
+        if pool.open_round(&mut Vec::new()) {
+            std::thread::scope(|scope| {
+                for me in 1..workers {
+                    let pool = &pool;
+                    scope.spawn(move || pool.work(me, handler));
+                }
+                pool.work(0, handler);
+            });
+        }
+        self.rounds += pool.rounds.into_inner();
+        self.batched_rounds += pool.batched.into_inner();
     }
 }
 
-/// The persistent per-worker round loop for
-/// [`ShardedExecutor::run_parallel`]. Mirrors
-/// [`ShardedExecutor::adaptive_round`] exactly — same snapshot, same
-/// hints, same per-destination delivery order — so the firing sequence is
-/// identical to the sequential path.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<E, S, F>(
-    wi: usize,
+/// One worker's share of the shards: a contiguous chunk, starting at shard
+/// `base`, with the shards' states and outboxes.
+struct Chunk<'a, E, S> {
+    base: usize,
+    shards: &'a mut [Executor<E>],
+    states: &'a mut [S],
+    outboxes: &'a mut [Vec<Envelope<E>>],
+}
+
+/// The shared state of one [`ShardedExecutor::run_parallel`] drive.
+///
+/// The per-shard slots are written while a round runs and read by the
+/// worker that closes it; the `done` counter's acquire/release edges order
+/// those accesses, and the gate's order the next round's reads of the
+/// snapshot, so the slots themselves are relaxed atomics.
+struct RoundPool<'a, E, S> {
+    chunks: Vec<Mutex<Chunk<'a, E, S>>>,
+    /// Shards per chunk (the last chunk may hold fewer).
     chunk: usize,
     lookahead: SimDuration,
-    shards: &mut [Executor<E>],
-    states: &mut [S],
-    outboxes: &mut [Vec<Envelope<E>>],
-    barrier: &Barrier,
-    next_ns: &[AtomicU64],
-    mailboxes: &[Mutex<Vec<Envelope<E>>>],
-    rounds: &AtomicU64,
-    batched: &AtomicU64,
-    handler: &F,
-) where
-    F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E),
-{
-    let base = wi * chunk;
-    let step = lookahead - SimDuration::from_nanos(1);
-    let mut snapshot = vec![0u64; next_ns.len()];
-    let mut stage: Vec<Vec<Envelope<E>>> = (0..mailboxes.len()).map(|_| Vec::new()).collect();
-    let mut inbox: Vec<Envelope<E>> = Vec::new();
-    loop {
-        for (j, s) in shards.iter().enumerate() {
-            next_ns[base + j].store(
-                s.peek_next_time().map_or(u64::MAX, |t| t.as_nanos()),
-                Ordering::Relaxed,
-            );
+    /// Per chunk: the last round it was claimed for.
+    claimed: Vec<AtomicU64>,
+    /// Chunks of the open round finished so far.
+    done: AtomicUsize,
+    /// `[parity][chunk]`: envelopes for that chunk's shards, routed in
+    /// rounds of that parity.
+    mail: [Vec<Mutex<Vec<Envelope<E>>>>; 2],
+    /// Per shard: next-event time after this round's drain (nanoseconds,
+    /// `u64::MAX` = idle).
+    drained: Vec<AtomicU64>,
+    /// Per shard: earliest arrival among envelopes sent to it this round.
+    mail_min: Vec<AtomicU64>,
+    /// Per shard: the open round's snapshot next-event time.
+    snapshot: Vec<AtomicU64>,
+    /// `(min, multiplicity of min, second min)` of `snapshot`.
+    minima: [AtomicU64; 3],
+    gate: RoundGate,
+    rounds: AtomicU64,
+    batched: AtomicU64,
+}
+
+impl<'a, E, S> RoundPool<'a, E, S> {
+    fn new(chunks: Vec<Mutex<Chunk<'a, E, S>>>, chunk: usize, lookahead: SimDuration) -> Self {
+        let slots = |len: usize| (0..len).map(|_| AtomicU64::new(u64::MAX)).collect();
+        let boxes = || (0..chunks.len()).map(|_| Mutex::new(Vec::new())).collect();
+        let drained: Vec<AtomicU64> = chunks
+            .iter()
+            .flat_map(|c| {
+                let c = c.lock().expect("chunk lock poisoned");
+                c.shards.iter().map(next_ns).collect::<Vec<_>>()
+            })
+            .map(AtomicU64::new)
+            .collect();
+        let n = drained.len();
+        RoundPool {
+            claimed: (0..chunks.len()).map(|_| AtomicU64::new(0)).collect(),
+            done: AtomicUsize::new(0),
+            mail: [boxes(), boxes()],
+            drained,
+            mail_min: slots(n),
+            snapshot: slots(n),
+            minima: [(); 3].map(|_| AtomicU64::new(0)),
+            chunks,
+            chunk,
+            lookahead,
+            gate: RoundGate::new(),
+            rounds: AtomicU64::new(0),
+            batched: AtomicU64::new(0),
         }
-        barrier.wait();
-        for (slot, published) in snapshot.iter_mut().zip(next_ns) {
-            *slot = published.load(Ordering::Relaxed);
+    }
+
+    /// Folds the finished round's published times into the next snapshot
+    /// (`next` is the caller's buffer for it) and opens that round, or
+    /// ends the drive and returns `false` when every shard is idle.
+    fn open_round(&self, next: &mut Vec<u64>) -> bool {
+        next.clear();
+        next.extend(self.drained.iter().zip(&self.mail_min).map(|(d, m)| {
+            d.load(Ordering::Relaxed)
+                .min(m.swap(u64::MAX, Ordering::Relaxed))
+        }));
+        let (min1, count1, min2) = min_two(next);
+        let busy = min1 != u64::MAX;
+        if busy {
+            self.rounds.fetch_add(1, Ordering::Relaxed);
+            self.batched
+                .fetch_add(u64::from(count1 == 1), Ordering::Relaxed);
+            for (slot, &t) in self.snapshot.iter().zip(next.iter()) {
+                slot.store(t, Ordering::Relaxed);
+            }
+            for (slot, v) in self.minima.iter().zip([min1, u64::from(count1), min2]) {
+                slot.store(v, Ordering::Relaxed);
+            }
+            self.done.store(0, Ordering::Relaxed);
         }
-        // Every worker computes the same minima from the same snapshot, so
-        // all of them agree on termination and on each shard's hint.
-        let (min1, count1, min2) = min_two(&snapshot);
-        if min1 == u64::MAX {
-            break;
-        }
-        if wi == 0 {
-            rounds.fetch_add(1, Ordering::Relaxed);
-            if count1 == 1 {
-                batched.fetch_add(1, Ordering::Relaxed);
+        self.gate.open(busy);
+        busy
+    }
+
+    /// Worker `me`'s loop: each round, claim its own chunk, then any
+    /// unstarted one; whoever finishes the round's last chunk opens the
+    /// next round.
+    fn work<F>(&self, me: usize, handler: &F)
+    where
+        F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E),
+    {
+        let _poison = PoisonOnPanic(&self.gate);
+        let chunks = self.chunks.len();
+        let mut inbox = Vec::new();
+        let mut stage: Vec<Vec<Envelope<E>>> = (0..chunks).map(|_| Vec::new()).collect();
+        let mut sent_min = vec![u64::MAX; self.drained.len()];
+        let mut next = Vec::new();
+        let mut round = 0;
+        while let Some(open) = self.gate.wait_past(round) {
+            round = open;
+            for c in (me..chunks).chain(0..me) {
+                let claim = self.claimed[c].compare_exchange(
+                    round - 1,
+                    round,
+                    Ordering::AcqRel,
+                    Ordering::Relaxed,
+                );
+                if claim.is_err() {
+                    continue;
+                }
+                self.run_chunk(round, c, handler, &mut inbox, &mut stage, &mut sent_min);
+                if self.done.fetch_add(1, Ordering::AcqRel) + 1 == chunks {
+                    self.open_round(&mut next);
+                    break;
+                }
             }
         }
-        for j in 0..shards.len() {
-            let i = base + j;
-            let hint = hint_for(snapshot[i], min1, count1, min2, step);
-            drain_shard(
-                &mut shards[j],
-                i,
-                hint,
-                lookahead,
-                &mut outboxes[j],
-                &mut states[j],
-                handler,
-            );
-            for env in outboxes[j].drain(..) {
-                stage[env.dst / chunk].push(env);
-            }
-        }
-        for (dst, staged) in stage.iter_mut().enumerate() {
-            if !staged.is_empty() {
-                mailboxes[dst]
-                    .lock()
-                    .expect("mailbox poisoned")
-                    .append(staged);
-            }
-        }
-        barrier.wait();
-        {
-            let mut mb = mailboxes[wi].lock().expect("mailbox poisoned");
-            std::mem::swap(&mut inbox, &mut *mb);
-        }
+    }
+
+    /// Runs chunk `c`'s share of `round`: deliver the previous round's
+    /// mail, drain each shard through its hint, publish, route the mail.
+    fn run_chunk<F>(
+        &self,
+        round: u64,
+        c: usize,
+        handler: &F,
+        inbox: &mut Vec<Envelope<E>>,
+        stage: &mut [Vec<Envelope<E>>],
+        sent_min: &mut [u64],
+    ) where
+        F: Fn(&mut ShardCtx<'_, E>, &mut S, SimTime, E),
+    {
+        let parity = (round & 1) as usize;
+        let mut guard = self.chunks[c].lock().expect("chunk lock poisoned");
+        let chunk = &mut *guard;
+        std::mem::swap(
+            inbox,
+            &mut self.mail[parity ^ 1][c].lock().expect("mailbox poisoned"),
+        );
         // Per-destination order (fire time, sender, send order) is the
-        // restriction of the sequential global merge order to this
-        // worker's shards, so calendar tie-breaking sequences match.
-        inbox.sort_by_key(|m| (m.at, m.src, m.order));
+        // restriction of the sequential global merge order to this chunk's
+        // shards, so calendar tie-breaking sequences match. The key is
+        // unique per envelope, so an unstable sort is exact.
+        inbox.sort_unstable_by_key(|m| (m.at, m.src, m.order));
         for m in inbox.drain(..) {
-            let shard = &mut shards[m.dst - base];
+            let exec = &mut chunk.shards[m.dst - chunk.base];
             debug_assert!(
-                m.at >= shard.now(),
+                m.at >= exec.now(),
                 "conservative horizon admitted a stale delivery"
             );
-            shard.post(m.at, m.event);
+            exec.post(m.at, m.event);
+        }
+        let [min1, count1, min2] = self.minima.each_ref().map(|m| m.load(Ordering::Relaxed));
+        let step = self.lookahead - SimDuration::from_nanos(1);
+        let shards = chunk
+            .shards
+            .iter_mut()
+            .zip(chunk.states.iter_mut())
+            .zip(chunk.outboxes.iter_mut());
+        for (i, ((exec, state), outbox)) in (chunk.base..).zip(shards) {
+            let snapshot = self.snapshot[i].load(Ordering::Relaxed);
+            debug_assert_eq!(
+                next_ns(exec),
+                snapshot,
+                "published snapshot disagrees with the delivered calendar"
+            );
+            let hint = hint_for(snapshot, min1, count1 as u32, min2, step);
+            drain_shard(exec, i, hint, self.lookahead, outbox, state, handler);
+            self.drained[i].store(next_ns(exec), Ordering::Relaxed);
+            for env in outbox.drain(..) {
+                sent_min[env.dst] = sent_min[env.dst].min(env.at.as_nanos());
+                stage[env.dst / self.chunk].push(env);
+            }
+        }
+        drop(guard);
+        for (slot, min) in self.mail_min.iter().zip(sent_min.iter_mut()) {
+            if *min != u64::MAX {
+                slot.fetch_min(std::mem::replace(min, u64::MAX), Ordering::Relaxed);
+            }
+        }
+        for (mailbox, staged) in self.mail[parity].iter().zip(stage.iter_mut()) {
+            if !staged.is_empty() {
+                mailbox.lock().expect("mailbox poisoned").append(staged);
+            }
+        }
+    }
+}
+
+/// A shard's next-event time in nanoseconds, `u64::MAX` when idle.
+fn next_ns<E>(exec: &Executor<E>) -> u64 {
+    exec.peek_next_time().map_or(u64::MAX, |t| t.as_nanos())
+}
+
+/// Spin iterations a worker with nothing to claim burns before parking:
+/// long enough to catch a round that opens within tens of microseconds,
+/// short enough to leave the core to the workers that have work.
+const GATE_SPINS: u32 = 1 << 11;
+
+/// The round counter the workers of a parallel drive wait on. Opening a
+/// round publishes everything written before it (the generation is
+/// stored with release and loaded with acquire ordering) and wakes parked
+/// workers only when there are any, so a round opened while every worker
+/// is still spinning costs no system call.
+struct RoundGate {
+    /// The open round (1-based); `u64::MAX` once the drive is over.
+    generation: AtomicU64,
+    parked: AtomicUsize,
+    poisoned: AtomicBool,
+    lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl RoundGate {
+    fn new() -> Self {
+        RoundGate {
+            generation: AtomicU64::new(0),
+            parked: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Opens the next round, or ends the drive unless `busy`.
+    fn open(&self, busy: bool) {
+        let next = if busy {
+            self.generation.load(Ordering::Relaxed) + 1
+        } else {
+            u64::MAX
+        };
+        // SeqCst pairs with the parked-count handshake in `wait_past`:
+        // either this sees a parked worker and wakes it, or that worker
+        // sees the new generation before it sleeps.
+        self.generation.store(next, Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            let _guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+            self.wake.notify_all();
+        }
+    }
+
+    /// Waits until a round after `seen` opens and returns it, or `None`
+    /// once the drive is over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a peer worker panicked (see [`RoundGate::poison`]) rather
+    /// than waiting for it forever.
+    fn wait_past(&self, seen: u64) -> Option<u64> {
+        let opened = || {
+            let g = self.generation.load(Ordering::SeqCst);
+            (g != seen).then_some(g)
+        };
+        let poisoned = || self.poisoned.load(Ordering::SeqCst);
+        let mut open = None;
+        for _ in 0..GATE_SPINS {
+            open = opened();
+            if open.is_some() || poisoned() {
+                break;
+            }
+            std::hint::spin_loop();
+        }
+        if open.is_none() && !poisoned() {
+            let mut guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+            self.parked.fetch_add(1, Ordering::SeqCst);
+            loop {
+                open = opened();
+                if open.is_some() || poisoned() {
+                    break;
+                }
+                guard = self.wake.wait(guard).unwrap_or_else(|e| e.into_inner());
+            }
+            self.parked.fetch_sub(1, Ordering::SeqCst);
+        }
+        assert!(!poisoned(), "a peer worker panicked");
+        open.filter(|&g| g != u64::MAX)
+    }
+
+    /// Releases every waiter, present and future, with a panic: a worker
+    /// that panicked may hold a chunk its round cannot close without.
+    fn poison(&self) {
+        self.poisoned.store(true, Ordering::SeqCst);
+        let _guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+        self.wake.notify_all();
+    }
+}
+
+/// Poisons the gate if the worker holding it unwinds.
+struct PoisonOnPanic<'a>(&'a RoundGate);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison();
         }
     }
 }
@@ -772,6 +998,68 @@ mod tests {
         assert!(states[0].is_empty() && states[1].is_empty());
         assert_eq!(pdes.processed(), 1);
         assert_eq!(pdes.rounds(), 1);
+    }
+
+    #[test]
+    fn parallel_drive_matches_with_uneven_chunks() {
+        // Five shards on two workers split 3 + 2: a token rings through
+        // every shard, each visit firing a local burst, while shard 4 keeps
+        // a slow independent chain of its own.
+        type Ev = (u32, u32); // (hops left, burst steps left); u32::MAX hops = tick
+        const TICK: u32 = u32::MAX;
+        let handler =
+            |ctx: &mut ShardCtx<'_, Ev>, state: &mut Vec<(u64, Ev)>, t: SimTime, ev: Ev| {
+                state.push((t.as_nanos(), ev));
+                match ev {
+                    (TICK, _) if t < SimTime::from_nanos(200_000) => {
+                        ctx.post(t + SimDuration::from_micros(9), ev);
+                    }
+                    (TICK, _) => {}
+                    (hops, burst) if burst > 0 => {
+                        ctx.post(t + SimDuration::from_nanos(700), (hops, burst - 1));
+                    }
+                    (hops, _) if hops > 0 => {
+                        let dst = (ctx.shard() + 1) % 5;
+                        ctx.send(dst, t + SimDuration::from_micros(2), (hops - 1, 3));
+                    }
+                    _ => {}
+                }
+            };
+        let drive = |threads: Option<usize>| {
+            let mut pdes: ShardedExecutor<Ev> =
+                ShardedExecutor::new(5, SimDuration::from_micros(1));
+            pdes.seed(0, SimTime::ZERO, (40, 3));
+            pdes.seed(4, SimTime::from_nanos(500), (TICK, 0));
+            let mut states: Vec<Vec<(u64, Ev)>> = vec![Vec::new(); 5];
+            match threads {
+                None => pdes.run(&mut states, &handler),
+                Some(n) => pdes.run_parallel(&mut states, &handler, n),
+            }
+            let nows: Vec<SimTime> = (0..5).map(|i| pdes.shard(i).now()).collect();
+            (states, pdes.rounds(), pdes.batched_rounds(), nows)
+        };
+        let expected = drive(None);
+        assert!(expected.0.iter().all(|s| !s.is_empty()));
+        for threads in [2, 3, 5] {
+            assert_eq!(drive(Some(threads)), expected, "{threads} threads diverged");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn handler_panic_in_parallel_drive_propagates() {
+        // Whichever worker panics, the others must not wait for it forever.
+        let mut pdes: ShardedExecutor<u32> = ShardedExecutor::new(2, SimDuration::from_micros(1));
+        pdes.seed(0, SimTime::ZERO, 0);
+        pdes.seed(1, SimTime::ZERO, 0);
+        pdes.run_parallel(
+            &mut [(), ()],
+            &|ctx, _, t, n| {
+                assert!(ctx.shard() == 0 || n < 50, "shard 1 gives up");
+                ctx.post(t + SimDuration::from_micros(1), n + 1);
+            },
+            2,
+        );
     }
 
     #[test]

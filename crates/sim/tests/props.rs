@@ -3,6 +3,20 @@
 use proptest::prelude::*;
 use twob_sim::{crc32, Histogram, MultiServer, Server, SimDuration, SimRng, SimTime, Zipfian};
 
+/// The textbook bit-at-a-time CRC-32 (reflected `0xEDB8_8320`) — the oracle
+/// the table-driven `crc32_update` must match bit for bit.
+fn crc32_update_bitwise(state: u32, bytes: &[u8]) -> u32 {
+    let mut crc = state;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    crc
+}
+
 proptest! {
     /// A server never starts a request before its arrival, never ends it
     /// before `start + service`, and serves FIFO (ends are monotonic when
@@ -172,6 +186,24 @@ proptest! {
             state = twob_sim::crc32_update(state, piece);
         }
         prop_assert_eq!(state ^ !0u32, crc32(&data));
+    }
+
+    /// The slice-by-8 kernel equals the bitwise oracle for any data, any
+    /// split point and any running state — so every stored checksum, and
+    /// every digest built over one, is unchanged.
+    #[test]
+    fn crc32_table_kernel_matches_bitwise_oracle(
+        data in prop::collection::vec(any::<u8>(), 0..4097),
+        split in any::<prop::sample::Index>(),
+        state in any::<u32>()
+    ) {
+        let cut = split.index(data.len() + 1);
+        let (head, tail) = data.split_at(cut);
+        let fast = twob_sim::crc32_update(twob_sim::crc32_update(state, head), tail);
+        let slow = crc32_update_bitwise(crc32_update_bitwise(state, head), tail);
+        prop_assert_eq!(fast, slow);
+        prop_assert_eq!(twob_sim::crc32_update(state, &data), slow);
+        prop_assert_eq!(crc32(&data), crc32_update_bitwise(!0u32, &data) ^ !0u32);
     }
 
     /// CRC-32 detects any single-byte change.

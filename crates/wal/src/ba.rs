@@ -230,8 +230,8 @@ impl BaWal {
 
 impl WalWriter for BaWal {
     fn append_commit(&mut self, now: SimTime, payload: &[u8]) -> Result<CommitOutcome, WalError> {
-        let record = LogRecord::new(Lsn(self.next_lsn), payload.to_vec());
-        let bytes = record.encode();
+        let lsn = Lsn(self.next_lsn);
+        let bytes = LogRecord::encode_parts(lsn, payload);
         if bytes.len() as u64 > self.half_bytes() {
             return Err(WalError::RecordTooLarge {
                 got: bytes.len(),
@@ -257,7 +257,7 @@ impl WalWriter for BaWal {
         self.stats.payload_bytes += payload.len() as u64;
         self.stats.encoded_bytes += bytes.len() as u64;
         let outcome = CommitOutcome {
-            lsn: record.lsn,
+            lsn,
             commit_at: sync.complete_at,
             durable_at: Some(sync.complete_at),
         };
@@ -282,8 +282,8 @@ impl WalWriter for BaWal {
         let mut encoded_total = 0u64;
         let mut payload_total = 0u64;
         for payload in payloads {
-            let record = LogRecord::new(Lsn(self.next_lsn), payload.clone());
-            let bytes = record.encode();
+            let lsn = Lsn(self.next_lsn);
+            let bytes = LogRecord::encode_parts(lsn, payload);
             if bytes.len() as u64 > self.half_bytes() {
                 return Err(WalError::RecordTooLarge {
                     got: bytes.len(),
@@ -291,7 +291,7 @@ impl WalWriter for BaWal {
                 });
             }
             self.next_lsn += 1;
-            last_lsn = record.lsn;
+            last_lsn = lsn;
             t = t.max(self.halves[self.active].ready_at);
             if self.halves[self.active].used + bytes.len() as u64 > self.half_bytes() {
                 // Make the half's un-synced tail device-resident before it

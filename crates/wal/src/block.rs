@@ -108,8 +108,8 @@ impl<D: BlockDevice> BlockWal<D> {
 
 impl<D: BlockDevice> WalWriter for BlockWal<D> {
     fn append_commit(&mut self, now: SimTime, payload: &[u8]) -> Result<CommitOutcome, WalError> {
-        let record = LogRecord::new(Lsn(self.next_lsn), payload.to_vec());
-        let bytes = record.encode();
+        let lsn = Lsn(self.next_lsn);
+        let bytes = LogRecord::encode_parts(lsn, payload);
         let region_bytes = u64::from(self.cfg.region_pages) * self.dev.page_size() as u64;
         if bytes.len() as u64 > region_bytes {
             return Err(WalError::RecordTooLarge {
@@ -152,13 +152,13 @@ impl<D: BlockDevice> WalWriter for BlockWal<D> {
                 let durable = self.dev.flush(last_ack);
                 self.stats.device_flushes += 1;
                 CommitOutcome {
-                    lsn: record.lsn,
+                    lsn,
                     commit_at: durable,
                     durable_at: Some(durable),
                 }
             }
             CommitMode::Async => CommitOutcome {
-                lsn: record.lsn,
+                lsn,
                 commit_at: staged_at,
                 durable_at: Some(last_ack),
             },

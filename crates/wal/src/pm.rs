@@ -157,8 +157,8 @@ impl<D: BlockDevice> PmWal<D> {
 
 impl<D: BlockDevice> WalWriter for PmWal<D> {
     fn append_commit(&mut self, now: SimTime, payload: &[u8]) -> Result<CommitOutcome, WalError> {
-        let record = LogRecord::new(Lsn(self.next_lsn), payload.to_vec());
-        let bytes = record.encode();
+        let lsn = Lsn(self.next_lsn);
+        let bytes = LogRecord::encode_parts(lsn, payload);
         if bytes.len() > self.half_bytes() {
             return Err(WalError::RecordTooLarge {
                 got: bytes.len(),
@@ -180,7 +180,7 @@ impl<D: BlockDevice> WalWriter for PmWal<D> {
         self.stats.payload_bytes += payload.len() as u64;
         self.stats.encoded_bytes += bytes.len() as u64;
         let outcome = CommitOutcome {
-            lsn: record.lsn,
+            lsn,
             commit_at: t,
             durable_at: Some(t),
         };

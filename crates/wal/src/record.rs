@@ -1,7 +1,7 @@
 //! The on-media log record format.
 
 use serde::{Deserialize, Serialize};
-use twob_sim::crc32;
+use twob_sim::crc32_update;
 
 /// A log sequence number: records are totally ordered by `Lsn`.
 #[derive(
@@ -55,20 +55,26 @@ impl LogRecord {
         RECORD_HEADER_BYTES + self.payload.len()
     }
 
+    /// `crc32(lsn ∥ payload)`, streamed without concatenating the two.
     fn body_crc(lsn: Lsn, payload: &[u8]) -> u32 {
-        let mut body = Vec::with_capacity(8 + payload.len());
-        body.extend_from_slice(&lsn.0.to_le_bytes());
-        body.extend_from_slice(payload);
-        crc32(&body)
+        let state = crc32_update(!0u32, &lsn.0.to_le_bytes());
+        crc32_update(state, payload) ^ !0u32
     }
 
     /// Serializes the record.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.lsn.0.to_le_bytes());
-        out.extend_from_slice(&Self::body_crc(self.lsn, &self.payload).to_le_bytes());
-        out.extend_from_slice(&self.payload);
+        Self::encode_parts(self.lsn, &self.payload)
+    }
+
+    /// Serializes the record `(lsn, payload)` straight from a borrowed
+    /// payload — what the log writers append, without first building an
+    /// owned [`LogRecord`].
+    pub fn encode_parts(lsn: Lsn, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&lsn.0.to_le_bytes());
+        out.extend_from_slice(&Self::body_crc(lsn, payload).to_le_bytes());
+        out.extend_from_slice(payload);
         out
     }
 

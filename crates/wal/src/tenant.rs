@@ -263,8 +263,8 @@ impl TenantBaWal {
 
 impl WalWriter for TenantBaWal {
     fn append_commit(&mut self, now: SimTime, payload: &[u8]) -> Result<CommitOutcome, WalError> {
-        let record = LogRecord::new(Lsn(self.next_lsn), payload.to_vec());
-        let bytes = record.encode();
+        let lsn = Lsn(self.next_lsn);
+        let bytes = LogRecord::encode_parts(lsn, payload);
         if bytes.len() as u64 > self.window_bytes() {
             return Err(WalError::RecordTooLarge {
                 got: bytes.len(),
@@ -295,7 +295,7 @@ impl WalWriter for TenantBaWal {
         self.stats.payload_bytes += payload.len() as u64;
         self.stats.encoded_bytes += bytes.len() as u64;
         let outcome = CommitOutcome {
-            lsn: record.lsn,
+            lsn,
             commit_at: sync.complete_at,
             durable_at: Some(sync.complete_at),
         };
@@ -320,8 +320,8 @@ impl WalWriter for TenantBaWal {
         let mut encoded_total = 0u64;
         let mut payload_total = 0u64;
         for payload in payloads {
-            let record = LogRecord::new(Lsn(self.next_lsn), payload.clone());
-            let bytes = record.encode();
+            let lsn = Lsn(self.next_lsn);
+            let bytes = LogRecord::encode_parts(lsn, payload);
             if bytes.len() as u64 > self.window_bytes() {
                 return Err(WalError::RecordTooLarge {
                     got: bytes.len(),
@@ -329,7 +329,7 @@ impl WalWriter for TenantBaWal {
                 });
             }
             self.next_lsn += 1;
-            last_lsn = record.lsn;
+            last_lsn = lsn;
             if self.used + bytes.len() as u64 > self.window_bytes() {
                 if let Some(start) = dirty_start.take() {
                     let sync = run_op(
@@ -504,8 +504,8 @@ impl TenantBlockWal {
 
 impl WalWriter for TenantBlockWal {
     fn append_commit(&mut self, now: SimTime, payload: &[u8]) -> Result<CommitOutcome, WalError> {
-        let record = LogRecord::new(Lsn(self.next_lsn), payload.to_vec());
-        let bytes = record.encode();
+        let lsn = Lsn(self.next_lsn);
+        let bytes = LogRecord::encode_parts(lsn, payload);
         let region_bytes = u64::from(self.cfg.region_pages) * self.page_image.len() as u64;
         if bytes.len() as u64 > region_bytes {
             return Err(WalError::RecordTooLarge {
@@ -522,7 +522,7 @@ impl WalWriter for TenantBlockWal {
         self.stats.encoded_bytes += bytes.len() as u64;
         self.stats.commit_time_total += durable.saturating_since(now);
         Ok(CommitOutcome {
-            lsn: record.lsn,
+            lsn,
             commit_at: durable,
             durable_at: Some(durable),
         })
