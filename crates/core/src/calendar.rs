@@ -23,7 +23,7 @@
 //! cal.submit(pin.complete_at, IoOp::BaFlush { eid });
 //! cal.submit(
 //!     pin.complete_at,
-//!     IoOp::BlockWrite { lba: Lba(8), data: vec![1u8; 4096] },
+//!     IoOp::BlockWrite { lba: Lba(8), data: vec![1u8; 4096].into() },
 //! );
 //! cal.drive(&mut dev);
 //! assert_eq!(cal.drain_completions().len(), 2);
@@ -31,7 +31,7 @@
 
 use twob_ftl::Lba;
 use twob_sim::{Executor, LatencyBreakdown, SimTime};
-use twob_ssd::BlockDevice;
+use twob_ssd::{BlockDevice, PageBuf};
 
 use crate::{EntryId, TwoBError, TwoBSsd};
 
@@ -73,12 +73,13 @@ pub enum IoOp {
         /// Page count.
         pages: u32,
     },
-    /// Block-path write of page-aligned `data` at `lba`.
+    /// Block-path write of page-aligned `data` at `lba`. A one-page
+    /// payload is handed to the device by handle, without a byte copy.
     BlockWrite {
         /// First logical page.
         lba: Lba,
         /// Page-aligned payload.
-        data: Vec<u8>,
+        data: PageBuf,
     },
     /// Block-path flush: destages the device write cache (the NVMe FLUSH
     /// a block-WAL issues to make an appended record durable).
@@ -270,7 +271,7 @@ pub(crate) fn dispatch_completion(
             Ok(read) => (Ok(read.complete_at), Some(read.data), read.breakdown),
             Err(e) => (Err(e.into()), None, LatencyBreakdown::ZERO),
         },
-        IoOp::BlockWrite { lba, data } => match dev.write_pages(t, lba, &data) {
+        IoOp::BlockWrite { lba, data } => match dev.write_block(t, lba, data) {
             Ok(ack) => (Ok(ack), None, dev.ssd().last_breakdown()),
             Err(e) => (Err(e.into()), None, LatencyBreakdown::ZERO),
         },
@@ -404,7 +405,7 @@ mod tests {
             start,
             IoOp::BlockWrite {
                 lba: Lba(8),
-                data: vec![9u8; 4096],
+                data: vec![9u8; 4096].into(),
             },
         );
         cal.drive(&mut dev);
@@ -640,7 +641,7 @@ mod tests {
                 start,
                 IoOp::BlockWrite {
                     lba: Lba(8),
-                    data: vec![3u8; 4096],
+                    data: vec![3u8; 4096].into(),
                 },
             );
             cal.submit(start, IoOp::BaSync { eid: eids[1] });

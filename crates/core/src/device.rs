@@ -6,7 +6,7 @@ use twob_pcie::{
     AddressTranslationUnit, Bar, CxlChannel, CxlTimings, HostByteChannel, PcieTimings, PostedWrite,
 };
 use twob_sim::{SimTime, TraceEvent, TraceRing};
-use twob_ssd::{BlockDevice, BlockRead, Ssd, SsdConfig, SsdError};
+use twob_ssd::{BlockDevice, BlockRead, PageBuf, Ssd, SsdConfig, SsdError};
 
 use crate::{
     BaBuffer, DumpOutcome, EntryId, MappingEntry, MappingTable, ReadDmaEngine, RecoveryManager,
@@ -771,6 +771,26 @@ impl TwoBSsd {
 }
 
 impl TwoBSsd {
+    /// Writes the page-aligned `data` at `lba` through the block path. A
+    /// one-page buffer moves into the device by handle
+    /// ([`Ssd::write_page`]); a longer one is split into pages.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Ssd::write`].
+    pub fn write_block(
+        &mut self,
+        now: SimTime,
+        lba: Lba,
+        data: PageBuf,
+    ) -> Result<SimTime, SsdError> {
+        if data.len() == self.ssd.page_size() {
+            self.ssd.write_page(now, lba, data)
+        } else {
+            self.ssd.write(now, lba, &data)
+        }
+    }
+
     /// TRIM through the block path; gated by the LBA checker like writes.
     ///
     /// # Errors
@@ -1050,5 +1070,81 @@ mod tests {
         let a = plain.write(SimTime::ZERO, Lba(0), &page).unwrap();
         let b = twob.write_pages(SimTime::ZERO, Lba(0), &page).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn write_block_matches_the_byte_path() {
+        let mut by_bytes = dev();
+        let mut by_block = dev();
+        let two_pages: Vec<u8> = (0..8192u32).map(|i| (i % 241) as u8).collect();
+        let mut t = SimTime::ZERO;
+        for (lba, data) in [(0u64, &two_pages[..4096]), (5, &two_pages[..])] {
+            let a = by_bytes.write_pages(t, Lba(lba), data).unwrap();
+            let b = by_block
+                .write_block(t, Lba(lba), PageBuf::from(data))
+                .unwrap();
+            assert_eq!(a, b);
+            assert_eq!(
+                by_bytes.ssd().last_breakdown(),
+                by_block.ssd().last_breakdown()
+            );
+            t = a;
+        }
+        assert_eq!(by_bytes.ssd().stats(), by_block.ssd().stats());
+        let read = by_block.read_pages(t, Lba(5), 2).unwrap();
+        assert_eq!(read.data, two_pages);
+    }
+
+    #[test]
+    fn cloned_device_shares_pages_but_diverges() {
+        let mut original = dev();
+        let cap = original.capacity_pages();
+        let page = PageBuf::from(vec![0x11u8; 4096]);
+        let mut t = SimTime::ZERO;
+        for lba in 0..cap {
+            t = original.write_block(t, Lba(lba), page.clone()).unwrap();
+        }
+        // A BA flush lands a page over the internal datapath, too.
+        let pin = original.ba_pin(t, EntryId(0), 0, Lba(1), 1).unwrap();
+        let store = original
+            .mmio_write(pin.complete_at, EntryId(0), 0, b"pinned")
+            .unwrap();
+        let sync = original.ba_sync(store.retired_at, EntryId(0)).unwrap();
+        t = original
+            .ba_flush(sync.complete_at, EntryId(0))
+            .unwrap()
+            .complete_at;
+        t = original.flush(t);
+        let mut clone = original.clone();
+        let erases_at_clone = clone.ssd().ftl().stats().erases;
+
+        // Overwrite everything in the original several times (GC copies
+        // back and erases the blocks the clone still maps), and one page
+        // of the clone.
+        let fresh = PageBuf::from(vec![0x22u8; 4096]);
+        for i in 0..cap * 6 {
+            t = original
+                .write_block(t, Lba((i * 5) % cap), fresh.clone())
+                .unwrap();
+        }
+        t = original.flush(t);
+        let tc = clone.write_block(t, Lba(0), PageBuf::from(vec![0x33u8; 4096]));
+        let tc = clone.flush(tc.unwrap());
+        assert!(original.ssd().ftl().stats().erases > erases_at_clone);
+        assert_eq!(clone.ssd().ftl().stats().erases, erases_at_clone);
+
+        for lba in 0..cap {
+            let o = original.read_pages(t, Lba(lba), 1).unwrap();
+            assert!(o.data.iter().all(|&b| b == 0x22), "original lba {lba}");
+            let c = clone.read_pages(tc, Lba(lba), 1).unwrap();
+            match lba {
+                0 => assert!(c.data.iter().all(|&b| b == 0x33)),
+                1 => {
+                    assert_eq!(&c.data[..6], b"pinned");
+                    assert!(c.data[6..].iter().all(|&b| b == 0x11));
+                }
+                _ => assert!(c.data.iter().all(|&b| b == 0x11), "clone lba {lba}"),
+            }
+        }
     }
 }

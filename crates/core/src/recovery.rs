@@ -14,7 +14,7 @@
 //! ```
 
 use twob_ftl::Lba;
-use twob_nand::BlockAddr;
+use twob_nand::{BlockAddr, PageBuf};
 use twob_sim::crc32;
 use twob_ssd::Ssd;
 
@@ -179,18 +179,19 @@ impl RecoveryManager {
             nand.erase_block(*block).expect("reserved block erase");
         }
         let mut written = 0u64;
-        let mut write_page = |data: &[u8], idx: u64| {
+        let mut write_page = |data: Vec<u8>, idx: u64| {
             let block = reserved[(idx / pages_per_block) as usize];
             let page = block.page((idx % pages_per_block) as u32);
-            nand.program_page(page, data).expect("reserved program");
+            nand.program_page(page, PageBuf::from(data))
+                .expect("reserved program");
         };
-        write_page(&header, written);
+        write_page(header, written);
         written += 1;
         let snapshot = buffer.snapshot();
         for chunk in snapshot.chunks(PAGE) {
             let mut page = chunk.to_vec();
             page.resize(PAGE, 0);
-            write_page(&page, written);
+            write_page(page, written);
             written += 1;
         }
         DumpOutcome {
@@ -208,7 +209,7 @@ impl RecoveryManager {
         let reserved: Vec<BlockAddr> = ssd.ftl().reserved_blocks();
         let pages_per_block = ssd.config().geometry.pages_per_block as u64;
         let nand = ssd.ftl_mut().nand_mut();
-        let read_page = |nand: &mut twob_nand::NandArray, idx: u64| -> Option<Vec<u8>> {
+        let read_page = |nand: &mut twob_nand::NandArray, idx: u64| -> Option<PageBuf> {
             let block = *reserved.get((idx / pages_per_block) as usize)?;
             let page = block.page((idx % pages_per_block) as u32);
             nand.read_page(page).ok().map(|r| r.data)
@@ -298,7 +299,7 @@ mod tests {
         let reserved = ssd.ftl().reserved_blocks();
         let nand = ssd.ftl_mut().nand_mut();
         nand.erase_block(reserved[0]).unwrap();
-        nand.program_page(reserved[0].page(0), &vec![0xBAu8; 4096])
+        nand.program_page(reserved[0].page(0), PageBuf::from(vec![0xBAu8; 4096]))
             .unwrap();
         assert!(mgr.restore(&spec, &mut ssd).is_none());
     }

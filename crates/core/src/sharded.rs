@@ -431,11 +431,17 @@ impl ShardedIoCalendar {
     /// `(completion instant, id)` so causally unrelated same-instant
     /// observations cannot perturb it.
     pub fn host_digest(&self) -> u64 {
-        let mut log = self.states[0].observed.clone();
-        log.sort_unstable_by_key(|&(id, at, _)| (at, id));
+        Self::log_digest(&self.observed_log())
+    }
+
+    /// Folds an observation log that is already in canonical order (as
+    /// [`ShardedIoCalendar::observed_log`] returns it) into the digest
+    /// [`ShardedIoCalendar::host_digest`] reports. A caller that needs
+    /// both the log and its digest sorts the log once this way.
+    pub fn log_digest(log: &[(u64, SimTime, bool)]) -> u64 {
         log.iter()
             .fold(0xcbf2_9ce4_8422_2325, |h, &(id, at, failed)| {
-                mix(mix(mix(h, at), id), u64::from(failed))
+                mix(mix(mix(h, at.as_nanos()), id), u64::from(failed))
             })
     }
 
@@ -511,7 +517,7 @@ mod tests {
                     g,
                     IoOp::BlockWrite {
                         lba: Lba(8 + (i as u64 % 16)),
-                        data: vec![i as u8; 4096],
+                        data: vec![i as u8; 4096].into(),
                     },
                 ),
                 1 => cal.submit(
@@ -621,7 +627,7 @@ mod tests {
                     0,
                     IoOp::BlockWrite {
                         lba: Lba(i % cap),
-                        data: vec![i as u8; 4096],
+                        data: vec![i as u8; 4096].into(),
                     },
                 );
             }

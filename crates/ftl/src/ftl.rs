@@ -5,7 +5,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use twob_nand::{BlockAddr, NandArray, PageAddr, Ppa, TimingBreakdown};
+use twob_nand::{BlockAddr, NandArray, PageAddr, PageBuf, Ppa, TimingBreakdown};
 
 use crate::{FtlConfig, FtlError, FtlStats};
 
@@ -61,8 +61,8 @@ pub struct FtlIo {
 /// The result of a host read through the FTL.
 #[derive(Debug, Clone)]
 pub struct FtlReadResult {
-    /// The page contents.
-    pub data: Vec<u8>,
+    /// The page contents (a handle to the programmed bytes).
+    pub data: PageBuf,
     /// NAND operations performed (a single host read).
     pub ios: Vec<FtlIo>,
 }
@@ -286,7 +286,7 @@ impl PageMappedFtl {
     fn append_page(
         &mut self,
         lba: Lba,
-        data: &[u8],
+        data: PageBuf,
         gc: bool,
         ios: &mut Vec<FtlIo>,
     ) -> Result<(), FtlError> {
@@ -474,7 +474,9 @@ impl PageMappedFtl {
                 timing: read.timing,
                 kind: FtlOpKind::GcRead,
             });
-            self.append_page(lba, &read.data, true, &mut ios)?;
+            // Copy-back moves the handle: the relocated page shares the
+            // victim's bytes until the victim is erased.
+            self.append_page(lba, read.data, true, &mut ios)?;
             job.next_page = page + 1;
             job.moved += 1;
             self.gc_jobs[die_idx] = Some(job);
@@ -564,7 +566,7 @@ impl PageMappedFtl {
         Ok(())
     }
 
-    /// Writes one page at `lba`.
+    /// Writes one page at `lba`, storing the handle without copying it.
     ///
     /// Returns the physical NAND operations performed, including any GC
     /// work this write triggered. With background GC enabled, watermark
@@ -576,7 +578,7 @@ impl PageMappedFtl {
     /// - [`FtlError::LbaOutOfRange`] beyond the exported capacity.
     /// - [`FtlError::WrongBufferLen`] if `data` is not exactly one page.
     /// - [`FtlError::OutOfSpace`] if GC cannot reclaim room.
-    pub fn write(&mut self, lba: Lba, data: &[u8]) -> Result<Vec<FtlIo>, FtlError> {
+    pub fn write(&mut self, lba: Lba, data: PageBuf) -> Result<Vec<FtlIo>, FtlError> {
         self.check_lba(lba)?;
         if data.len() != self.page_size() {
             return Err(FtlError::WrongBufferLen {
@@ -660,6 +662,7 @@ impl PageMappedFtl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use twob_nand::{FlashClass, NandGeometry};
 
     fn small_ftl(op: f64) -> PageMappedFtl {
@@ -676,15 +679,15 @@ mod tests {
         )
     }
 
-    fn page_of(byte: u8) -> Vec<u8> {
-        vec![byte; 4096]
+    fn page_of(byte: u8) -> PageBuf {
+        PageBuf::from(vec![byte; 4096])
     }
 
     #[test]
     fn write_read_round_trip() {
         let mut ftl = small_ftl(0.25);
-        ftl.write(Lba(0), &page_of(0x11)).unwrap();
-        ftl.write(Lba(1), &page_of(0x22)).unwrap();
+        ftl.write(Lba(0), page_of(0x11)).unwrap();
+        ftl.write(Lba(1), page_of(0x22)).unwrap();
         assert_eq!(ftl.read(Lba(0)).unwrap().data, page_of(0x11));
         assert_eq!(ftl.read(Lba(1)).unwrap().data, page_of(0x22));
     }
@@ -692,8 +695,8 @@ mod tests {
     #[test]
     fn overwrite_returns_fresh_data() {
         let mut ftl = small_ftl(0.25);
-        ftl.write(Lba(7), &page_of(0x01)).unwrap();
-        ftl.write(Lba(7), &page_of(0x02)).unwrap();
+        ftl.write(Lba(7), page_of(0x01)).unwrap();
+        ftl.write(Lba(7), page_of(0x02)).unwrap();
         assert_eq!(ftl.read(Lba(7)).unwrap().data, page_of(0x02));
     }
 
@@ -708,7 +711,7 @@ mod tests {
         let mut ftl = small_ftl(0.25);
         let beyond = Lba(ftl.exported_pages());
         assert!(matches!(
-            ftl.write(beyond, &page_of(0)),
+            ftl.write(beyond, page_of(0)),
             Err(FtlError::LbaOutOfRange { .. })
         ));
         assert!(matches!(
@@ -721,7 +724,7 @@ mod tests {
     fn wrong_len_rejected() {
         let mut ftl = small_ftl(0.25);
         assert!(matches!(
-            ftl.write(Lba(0), &[0u8; 64]),
+            ftl.write(Lba(0), PageBuf::from(&[0u8; 64][..])),
             Err(FtlError::WrongBufferLen { .. })
         ));
     }
@@ -729,7 +732,7 @@ mod tests {
     #[test]
     fn trim_unmaps() {
         let mut ftl = small_ftl(0.25);
-        ftl.write(Lba(3), &page_of(9)).unwrap();
+        ftl.write(Lba(3), page_of(9)).unwrap();
         ftl.trim(Lba(3)).unwrap();
         assert!(!ftl.is_mapped(Lba(3)));
         assert!(matches!(ftl.read(Lba(3)), Err(FtlError::Unmapped(_))));
@@ -740,8 +743,8 @@ mod tests {
     #[test]
     fn sequential_writes_stripe_across_dies() {
         let mut ftl = small_ftl(0.25);
-        let io_a = ftl.write(Lba(0), &page_of(1)).unwrap();
-        let io_b = ftl.write(Lba(1), &page_of(2)).unwrap();
+        let io_a = ftl.write(Lba(0), page_of(1)).unwrap();
+        let io_b = ftl.write(Lba(1), page_of(2)).unwrap();
         assert_ne!(io_a[0].die, io_b[0].die);
     }
 
@@ -755,7 +758,7 @@ mod tests {
             for lba in 0..lbas {
                 ftl.write(
                     Lba(lba),
-                    &page_of(round.wrapping_mul(31).wrapping_add(lba as u8)),
+                    page_of(round.wrapping_mul(31).wrapping_add(lba as u8)),
                 )
                 .unwrap();
             }
@@ -775,7 +778,7 @@ mod tests {
     fn waf_is_one_without_churn() {
         let mut ftl = small_ftl(0.25);
         for lba in 0..8 {
-            ftl.write(Lba(lba), &page_of(lba as u8)).unwrap();
+            ftl.write(Lba(lba), page_of(lba as u8)).unwrap();
         }
         let stats = ftl.stats();
         assert_eq!(stats.gc_writes, 0);
@@ -788,7 +791,7 @@ mod tests {
         let lbas = ftl.exported_pages();
         // Fill the whole exported space with cold data once...
         for lba in 0..lbas {
-            ftl.write(Lba(lba), &page_of(lba as u8)).unwrap();
+            ftl.write(Lba(lba), page_of(lba as u8)).unwrap();
         }
         // ...then interleave rewrites of a hot subset with slow rewrites of
         // cold LBAs, so every block mixes soon-stale and long-valid pages
@@ -800,7 +803,7 @@ mod tests {
             } else {
                 Lba(16 + (i / 7) % cold_span)
             };
-            ftl.write(lba, &page_of(i as u8)).unwrap();
+            ftl.write(lba, page_of(i as u8)).unwrap();
         }
         let stats = ftl.stats();
         assert!(stats.gc_writes > 0, "GC never relocated a page: {stats}");
@@ -830,7 +833,7 @@ mod tests {
     fn fill_with_churn(ftl: &mut PageMappedFtl, writes: u64) {
         let lbas = ftl.exported_pages().min(64);
         for i in 0..writes {
-            ftl.write(Lba(i % lbas), &page_of(i as u8)).unwrap();
+            ftl.write(Lba(i % lbas), page_of(i as u8)).unwrap();
         }
     }
 
@@ -897,6 +900,33 @@ mod tests {
     }
 
     #[test]
+    fn gc_copy_back_moves_the_handle() {
+        let mut ftl = small_ftl(0.25);
+        let lbas = ftl.exported_pages();
+        let mut last: Vec<PageBuf> = (0..lbas).map(|i| page_of(i as u8)).collect();
+        for (lba, page) in last.iter().enumerate() {
+            ftl.write(Lba(lba as u64), page.clone()).unwrap();
+        }
+        // Interleave hot rewrites with slow cold ones, so every block
+        // mixes stale and long-valid pages and GC must relocate the latter
+        // (as in `waf_exceeds_one_under_churn`).
+        for i in 0u64..1200 {
+            let lba = if i % 2 == 0 {
+                i / 2 % 16
+            } else {
+                16 + (i / 7) % (lbas - 16)
+            };
+            last[lba as usize] = page_of(!(i as u8));
+            ftl.write(Lba(lba), last[lba as usize].clone()).unwrap();
+        }
+        assert!(ftl.stats().gc_writes > 0, "GC never relocated a page");
+        for (lba, page) in last.iter().enumerate() {
+            let read = ftl.read(Lba(lba as u64)).unwrap().data;
+            assert!(Arc::ptr_eq(&read, page), "lba {lba} was copied");
+        }
+    }
+
+    #[test]
     fn background_mode_matches_inline_gc_byte_for_byte() {
         let mut inline_ftl = small_ftl(0.25);
         let mut bg = small_ftl(0.25);
@@ -905,8 +935,8 @@ mod tests {
         for i in 0u64..(12 * lbas) {
             let lba = Lba(i % lbas);
             let data = page_of(i as u8);
-            inline_ftl.write(lba, &data).unwrap();
-            bg.write(lba, &data).unwrap();
+            inline_ftl.write(lba, data.clone()).unwrap();
+            bg.write(lba, data).unwrap();
             // Drive the state machine at the same trigger point the inline
             // path uses; the two must stay in lock-step.
             if bg.gc_needed() {
@@ -925,7 +955,7 @@ mod tests {
             let lbas = ftl.exported_pages().min(64);
             let mut timeline = Vec::new();
             for i in 0u64..(10 * lbas) {
-                let ios = ftl.write(Lba((i * 7) % lbas), &page_of(i as u8)).unwrap();
+                let ios = ftl.write(Lba((i * 7) % lbas), page_of(i as u8)).unwrap();
                 timeline.push(ios.len());
             }
             (ftl.stats(), timeline)
@@ -944,7 +974,7 @@ mod tests {
         let mut saw_gc = false;
         for round in 0u8..8 {
             for lba in 0..lbas {
-                let ios = ftl.write(Lba(lba), &page_of(round)).unwrap();
+                let ios = ftl.write(Lba(lba), page_of(round)).unwrap();
                 if ios.iter().any(|io| io.kind == FtlOpKind::Erase) {
                     saw_gc = true;
                 }

@@ -23,13 +23,13 @@
 //!
 //! ```rust
 //! use twob_ftl::{FtlConfig, Lba, PageMappedFtl};
-//! use twob_nand::{FlashClass, NandArray, NandGeometry};
+//! use twob_nand::{FlashClass, NandArray, NandGeometry, PageBuf};
 //!
 //! let geom = NandGeometry::small_test();
 //! let nand = NandArray::new(geom, FlashClass::LowLatencySlc.timing());
 //! let mut ftl = PageMappedFtl::new(nand, FtlConfig::default());
-//! let page = vec![0x5A; 4096];
-//! ftl.write(Lba(3), &page)?;
+//! let page = PageBuf::from(vec![0x5A; 4096]);
+//! ftl.write(Lba(3), page.clone())?;
 //! assert_eq!(ftl.read(Lba(3))?.data, page);
 //! # Ok::<(), twob_ftl::FtlError>(())
 //! ```

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use twob_ftl::{DieId, FtlConfig, FtlError, Lba, PageMappedFtl};
-use twob_nand::{FlashClass, NandArray, NandGeometry};
+use twob_nand::{FlashClass, NandArray, NandGeometry, PageBuf};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -78,7 +78,7 @@ proptest! {
         for op in ops {
             match op {
                 Op::Write { lba, fill } => {
-                    ftl.write(Lba(lba), &vec![fill; 4096]).expect("write");
+                    ftl.write(Lba(lba), PageBuf::from(vec![fill; 4096])).expect("write");
                     model.insert(lba, fill);
                 }
                 Op::Trim { lba } => {
@@ -113,7 +113,7 @@ proptest! {
     fn gc_maintains_watermark(ops in prop::collection::vec((0u64..48, any::<u8>()), 1..500)) {
         let mut ftl = fresh_ftl();
         for (lba, fill) in ops {
-            ftl.write(Lba(lba), &vec![fill; 4096]).expect("write");
+            ftl.write(Lba(lba), PageBuf::from(vec![fill; 4096])).expect("write");
             let stats = ftl.stats();
             prop_assert!(stats.waf() >= 1.0);
             prop_assert!(
@@ -138,7 +138,7 @@ proptest! {
                 GcOp::Write { lba, fill } => {
                     // Background mode still has the emergency inline path,
                     // so foreground writes never fail for space.
-                    ftl.write(Lba(lba), &vec![fill; 4096]).expect("write");
+                    ftl.write(Lba(lba), PageBuf::from(vec![fill; 4096])).expect("write");
                     model.insert(lba, fill);
                 }
                 GcOp::Read { lba } => match (model.get(&lba), ftl.read(Lba(lba))) {
@@ -199,7 +199,7 @@ proptest! {
         let mut ftl = fresh_ftl();
         let beyond = Lba(ftl.exported_pages() + offset);
         let write_rejected = matches!(
-            ftl.write(beyond, &vec![0u8; 4096]),
+            ftl.write(beyond, PageBuf::from(vec![0u8; 4096])),
             Err(FtlError::LbaOutOfRange { .. })
         );
         let read_rejected = matches!(ftl.read(beyond), Err(FtlError::LbaOutOfRange { .. }));

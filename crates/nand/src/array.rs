@@ -1,6 +1,7 @@
 //! The NAND array: real byte storage plus physical-rule enforcement.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use twob_sim::{SimDuration, SimRng};
 
@@ -9,11 +10,20 @@ use crate::{
     TimingBreakdown,
 };
 
+/// One programmed page: an immutable, cheaply cloned handle to its bytes.
+///
+/// Programming stores the handle and reading clones it, so a page moves
+/// through the FTL, the write cache and GC copy-back without a byte copy.
+/// Callers holding a slice write `PageBuf::from(slice)`, which is the one
+/// copy a page costs on its way in.
+pub type PageBuf = Arc<[u8]>;
+
 /// Per-block bookkeeping.
 #[derive(Debug, Clone, Default)]
 struct BlockState {
-    /// Next programmable page index; pages `< next_page` hold data.
-    next_page: u32,
+    /// Programmed pages in program order; `pages.len()` is the next
+    /// programmable page index.
+    pages: Vec<PageBuf>,
     /// Whether the block has ever been erased (fresh blocks are usable
     /// immediately in this model, matching factory-erased flash).
     erase_count: u64,
@@ -35,8 +45,8 @@ pub enum NandOp {
 /// A completed read: the page bytes plus timing and ECC accounting.
 #[derive(Debug, Clone)]
 pub struct ReadResult {
-    /// The page contents.
-    pub data: Vec<u8>,
+    /// The page contents (a clone of the stored handle).
+    pub data: PageBuf,
     /// Die/bus time components for the SSD scheduler.
     pub timing: TimingBreakdown,
     /// Bits ECC corrected on this read.
@@ -68,23 +78,27 @@ pub struct WearReport {
     pub bad_blocks: u64,
 }
 
-/// A NAND flash array with lazily allocated page storage.
+/// A NAND flash array whose page storage is a per-block vector of
+/// [`PageBuf`] handles, allocated as blocks are first touched.
 ///
 /// Enforces erase-before-program, strictly sequential programming within a
 /// block, bad-block refusal, and optional bit-error injection with an ECC
 /// budget. Stores real bytes so upper layers can be checked end-to-end.
+/// Programming pushes the caller's handle and never copies the bytes;
+/// erasing clears the block's vector.
 ///
 /// # Example
 ///
 /// ```rust
-/// use twob_nand::{FlashClass, NandArray, NandGeometry};
+/// use twob_nand::{FlashClass, NandArray, NandGeometry, PageBuf};
 ///
 /// let geom = NandGeometry::small_test();
 /// let mut nand = NandArray::new(geom, FlashClass::DatacenterTlc.timing());
 /// let blk = geom.block_addr(0, 0, 0, 0);
 /// nand.erase_block(blk)?;
-/// nand.program_page(blk.page(0), &vec![7u8; 4096])?;
-/// assert!(nand.program_page(blk.page(0), &vec![7u8; 4096]).is_err());
+/// let page = PageBuf::from(vec![7u8; 4096]);
+/// nand.program_page(blk.page(0), page.clone())?;
+/// assert!(nand.program_page(blk.page(0), page).is_err());
 /// # Ok::<(), twob_nand::NandError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -92,7 +106,6 @@ pub struct NandArray {
     geometry: NandGeometry,
     timing: NandTiming,
     blocks: HashMap<BlockAddr, BlockState>,
-    pages: HashMap<PageAddr, Vec<u8>>,
     ecc: EccConfig,
     error_model: BitErrorModel,
     rng: SimRng,
@@ -108,7 +121,6 @@ impl NandArray {
             geometry,
             timing,
             blocks: HashMap::new(),
-            pages: HashMap::new(),
             ecc: EccConfig::default(),
             error_model: BitErrorModel::perfect(),
             rng: SimRng::seed_from(0xECC),
@@ -157,28 +169,26 @@ impl NandArray {
     ///
     /// Returns [`NandError::BadBlock`] if the block is marked bad.
     pub fn erase_block(&mut self, addr: BlockAddr) -> Result<TimingBreakdown, NandError> {
-        let pages_per_block = self.geometry.pages_per_block;
         let state = self.block_state(addr);
         if state.bad {
             return Err(NandError::BadBlock(addr));
         }
-        state.next_page = 0;
+        state.pages.clear();
         state.erase_count += 1;
         self.erases += 1;
-        for page in 0..pages_per_block {
-            self.pages.remove(&addr.page(page));
-        }
         Ok(TimingBreakdown {
             die_time: self.timing.t_erase,
             xfer_time: SimDuration::ZERO,
         })
     }
 
-    /// Programs the next sequential page of a block with `data`.
+    /// Programs the next sequential page of a block with `data`, storing
+    /// the handle itself (no byte copy).
     ///
     /// # Errors
     ///
     /// - [`NandError::WrongBufferLen`] if `data` is not exactly one page.
+    /// - [`NandError::PageOutOfRange`] if `addr.page` lies past the block.
     /// - [`NandError::BadBlock`] for bad blocks.
     /// - [`NandError::ProgramWithoutErase`] if the page already holds data.
     /// - [`NandError::OutOfOrderProgram`] if `addr.page` is not the block's
@@ -186,7 +196,7 @@ impl NandArray {
     pub fn program_page(
         &mut self,
         addr: PageAddr,
-        data: &[u8],
+        data: PageBuf,
     ) -> Result<ProgramResult, NandError> {
         let page_size = self.geometry.page_size as usize;
         if data.len() != page_size {
@@ -195,21 +205,24 @@ impl NandArray {
                 expected: page_size,
             });
         }
+        if addr.page >= self.geometry.pages_per_block {
+            return Err(NandError::PageOutOfRange(addr));
+        }
         let state = self.block_state(addr.block);
         if state.bad {
             return Err(NandError::BadBlock(addr.block));
         }
-        if addr.page < state.next_page {
+        let next_page = state.pages.len() as u32;
+        if addr.page < next_page {
             return Err(NandError::ProgramWithoutErase(addr));
         }
-        if addr.page > state.next_page {
+        if addr.page > next_page {
             return Err(NandError::OutOfOrderProgram {
                 attempted: addr,
-                expected_page: state.next_page,
+                expected_page: next_page,
             });
         }
-        state.next_page += 1;
-        self.pages.insert(addr, data.to_vec());
+        state.pages.push(data);
         self.programs += 1;
         Ok(ProgramResult {
             timing: TimingBreakdown {
@@ -219,7 +232,7 @@ impl NandArray {
         })
     }
 
-    /// Reads a programmed page.
+    /// Reads a programmed page, returning a clone of its handle.
     ///
     /// # Errors
     ///
@@ -229,16 +242,14 @@ impl NandArray {
     ///   budget; the block is then marked bad, as real firmware would retire
     ///   it.
     pub fn read_page(&mut self, addr: PageAddr) -> Result<ReadResult, NandError> {
-        let erase_count = {
-            let state = self.block_state(addr.block);
-            if state.bad {
-                return Err(NandError::BadBlock(addr.block));
-            }
-            state.erase_count
-        };
-        let data = self
+        let state = self.block_state(addr.block);
+        if state.bad {
+            return Err(NandError::BadBlock(addr.block));
+        }
+        let erase_count = state.erase_count;
+        let data = state
             .pages
-            .get(&addr)
+            .get(addr.page as usize)
             .cloned()
             .ok_or(NandError::ReadUnwritten(addr))?;
         self.reads += 1;
@@ -267,12 +278,12 @@ impl NandArray {
 
     /// Returns `true` if the page currently holds programmed data.
     pub fn is_programmed(&self, addr: PageAddr) -> bool {
-        self.pages.contains_key(&addr)
+        self.next_page_of(addr.block) > addr.page
     }
 
     /// Next programmable page index of a block (0 for a fresh block).
     pub fn next_page_of(&self, addr: BlockAddr) -> u32 {
-        self.blocks.get(&addr).map_or(0, |s| s.next_page)
+        self.blocks.get(&addr).map_or(0, |s| s.pages.len() as u32)
     }
 
     /// Erase count of a block.
@@ -309,8 +320,10 @@ impl NandArray {
     }
 
     /// Number of pages currently holding data (for memory accounting).
+    /// Pages programmed from one shared handle count once each, though
+    /// they share one allocation.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.blocks.values().map(|s| s.pages.len()).sum()
     }
 }
 
@@ -330,24 +343,27 @@ mod tests {
         let blk = g.block_addr(0, 0, 0, 0);
         nand.erase_block(blk).unwrap();
         let data: Vec<u8> = (0..g.page_size).map(|i| (i % 251) as u8).collect();
-        nand.program_page(blk.page(0), &data).unwrap();
-        assert_eq!(nand.read_page(blk.page(0)).unwrap().data, data);
+        nand.program_page(blk.page(0), PageBuf::from(&data[..]))
+            .unwrap();
+        assert_eq!(*nand.read_page(blk.page(0)).unwrap().data, data[..]);
     }
 
     #[test]
     fn fresh_block_is_programmable_without_explicit_erase() {
         let (g, mut nand) = test_array();
         let blk = g.block_addr(1, 0, 0, 0);
-        assert!(nand.program_page(blk.page(0), &vec![0; 4096]).is_ok());
+        assert!(nand.program_page(blk.page(0), vec![0; 4096].into()).is_ok());
     }
 
     #[test]
     fn double_program_rejected() {
         let (g, mut nand) = test_array();
         let blk = g.block_addr(0, 0, 0, 0);
-        nand.program_page(blk.page(0), &vec![1; 4096]).unwrap();
+        nand.program_page(blk.page(0), vec![1; 4096].into())
+            .unwrap();
         assert_eq!(
-            nand.program_page(blk.page(0), &vec![2; 4096]).unwrap_err(),
+            nand.program_page(blk.page(0), vec![2; 4096].into())
+                .unwrap_err(),
             NandError::ProgramWithoutErase(blk.page(0))
         );
     }
@@ -356,7 +372,9 @@ mod tests {
     fn out_of_order_program_rejected() {
         let (g, mut nand) = test_array();
         let blk = g.block_addr(0, 0, 0, 0);
-        let err = nand.program_page(blk.page(3), &vec![0; 4096]).unwrap_err();
+        let err = nand
+            .program_page(blk.page(3), vec![0; 4096].into())
+            .unwrap_err();
         assert!(matches!(err, NandError::OutOfOrderProgram { .. }));
     }
 
@@ -364,12 +382,29 @@ mod tests {
     fn erase_frees_pages_and_counts_wear() {
         let (g, mut nand) = test_array();
         let blk = g.block_addr(0, 0, 0, 0);
-        nand.program_page(blk.page(0), &vec![9; 4096]).unwrap();
+        nand.program_page(blk.page(0), vec![9; 4096].into())
+            .unwrap();
         nand.erase_block(blk).unwrap();
         assert!(!nand.is_programmed(blk.page(0)));
         assert_eq!(nand.erase_count_of(blk), 1);
         // Reprogramming page 0 is now legal.
-        assert!(nand.program_page(blk.page(0), &vec![9; 4096]).is_ok());
+        assert!(nand.program_page(blk.page(0), vec![9; 4096].into()).is_ok());
+    }
+
+    #[test]
+    fn program_past_block_end_rejected() {
+        let (g, mut nand) = test_array();
+        let blk = g.block_addr(0, 0, 0, 0);
+        let page = PageBuf::from(vec![3u8; 4096]);
+        for i in 0..g.pages_per_block {
+            nand.program_page(blk.page(i), page.clone()).unwrap();
+        }
+        let end = blk.page(g.pages_per_block);
+        assert_eq!(
+            nand.program_page(end, page).unwrap_err(),
+            NandError::PageOutOfRange(end)
+        );
+        assert_eq!(nand.resident_pages(), g.pages_per_block as usize);
     }
 
     #[test]
@@ -386,14 +421,15 @@ mod tests {
     fn bad_block_refuses_everything() {
         let (g, mut nand) = test_array();
         let blk = g.block_addr(0, 0, 0, 1);
-        nand.program_page(blk.page(0), &vec![1; 4096]).unwrap();
+        nand.program_page(blk.page(0), vec![1; 4096].into())
+            .unwrap();
         nand.mark_bad(blk);
         assert!(matches!(
             nand.read_page(blk.page(0)),
             Err(NandError::BadBlock(_))
         ));
         assert!(matches!(
-            nand.program_page(blk.page(1), &vec![1; 4096]),
+            nand.program_page(blk.page(1), vec![1; 4096].into()),
             Err(NandError::BadBlock(_))
         ));
         assert!(matches!(nand.erase_block(blk), Err(NandError::BadBlock(_))));
@@ -403,7 +439,9 @@ mod tests {
     fn wrong_buffer_length_rejected() {
         let (g, mut nand) = test_array();
         let blk = g.block_addr(0, 0, 0, 0);
-        let err = nand.program_page(blk.page(0), &[0u8; 100]).unwrap_err();
+        let err = nand
+            .program_page(blk.page(0), PageBuf::from(&[0u8; 100][..]))
+            .unwrap_err();
         assert_eq!(
             err,
             NandError::WrongBufferLen {
@@ -430,7 +468,8 @@ mod tests {
             7,
         );
         let blk = g.block_addr(0, 0, 0, 0);
-        nand.program_page(blk.page(0), &vec![0; 4096]).unwrap();
+        nand.program_page(blk.page(0), vec![0; 4096].into())
+            .unwrap();
         let mut failed = false;
         for _ in 0..50 {
             match nand.read_page(blk.page(0)) {
@@ -452,7 +491,9 @@ mod tests {
         let (g, mut nand) = test_array();
         let t = FlashClass::LowLatencySlc.timing();
         let blk = g.block_addr(0, 0, 0, 0);
-        let prog = nand.program_page(blk.page(0), &vec![0; 4096]).unwrap();
+        let prog = nand
+            .program_page(blk.page(0), vec![0; 4096].into())
+            .unwrap();
         assert_eq!(prog.timing.die_time, t.t_prog);
         assert_eq!(prog.timing.xfer_time, t.xfer(4096));
         let read = nand.read_page(blk.page(0)).unwrap();
@@ -466,7 +507,8 @@ mod tests {
     fn wear_report_tracks_counts() {
         let (g, mut nand) = test_array();
         let blk = g.block_addr(0, 0, 0, 0);
-        nand.program_page(blk.page(0), &vec![0; 4096]).unwrap();
+        nand.program_page(blk.page(0), vec![0; 4096].into())
+            .unwrap();
         nand.read_page(blk.page(0)).unwrap();
         nand.erase_block(blk).unwrap();
         nand.erase_block(blk).unwrap();

@@ -27,6 +27,8 @@ pub enum NandError {
     BadBlock(BlockAddr),
     /// A read touched a page that has never been programmed since erase.
     ReadUnwritten(PageAddr),
+    /// A program addressed a page index past the end of its block.
+    PageOutOfRange(PageAddr),
     /// ECC could not correct the raw bit errors in the page.
     Uncorrectable(PageAddr),
     /// The supplied buffer does not match the page size.
@@ -53,6 +55,7 @@ impl fmt::Display for NandError {
             ),
             NandError::BadBlock(b) => write!(f, "operation on bad block {b}"),
             NandError::ReadUnwritten(p) => write!(f, "read of unwritten page {p}"),
+            NandError::PageOutOfRange(p) => write!(f, "program of {p} past the end of its block"),
             NandError::Uncorrectable(p) => write!(f, "uncorrectable ECC error at {p}"),
             NandError::WrongBufferLen { got, expected } => {
                 write!(f, "buffer of {got} bytes where page size is {expected}")

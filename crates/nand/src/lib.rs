@@ -16,19 +16,22 @@
 //!
 //! Pages store *real bytes*, so the whole stack above (FTL, SSD, 2B-SSD,
 //! WAL, databases) can be verified end-to-end by byte-equality, including
-//! across simulated power loss.
+//! across simulated power loss. A page is held as a [`PageBuf`], an
+//! immutable shared handle: each block keeps a vector of the handles
+//! programmed into it, programming stores the caller's handle without
+//! copying, and reads, GC copy-back and the layers above pass the handle on.
 //!
 //! # Example
 //!
 //! ```rust
-//! use twob_nand::{FlashClass, NandArray, NandGeometry};
+//! use twob_nand::{FlashClass, NandArray, NandGeometry, PageBuf};
 //!
 //! let geom = NandGeometry::small_test();
 //! let mut nand = NandArray::new(geom, FlashClass::LowLatencySlc.timing());
 //! let block = geom.block_addr(0, 0, 0, 0);
 //! nand.erase_block(block)?;
 //! let page = block.page(0);
-//! nand.program_page(page, &vec![0xAB; geom.page_size as usize])?;
+//! nand.program_page(page, PageBuf::from(vec![0xAB; geom.page_size as usize]))?;
 //! assert_eq!(nand.read_page(page)?.data[0], 0xAB);
 //! # Ok::<(), twob_nand::NandError>(())
 //! ```
@@ -42,7 +45,7 @@ mod error;
 mod geometry;
 mod timing;
 
-pub use array::{NandArray, NandOp, ProgramResult, ReadResult, WearReport};
+pub use array::{NandArray, NandOp, PageBuf, ProgramResult, ReadResult, WearReport};
 pub use ecc::{BitErrorModel, EccConfig, EccOutcome};
 pub use error::NandError;
 pub use geometry::{BlockAddr, NandGeometry, PageAddr, Ppa};

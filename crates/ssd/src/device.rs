@@ -3,7 +3,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use twob_ftl::{DieId, FtlIo, FtlOpKind, Lba, PageMappedFtl};
-use twob_nand::NandArray;
+use twob_nand::{NandArray, PageBuf};
 use twob_sim::{
     Executor, LatencyBreakdown, MultiServer, Server, SimDuration, SimTime, TraceEvent, TraceRing,
 };
@@ -34,7 +34,7 @@ struct DumpReq {
     /// Target logical address.
     lba: Lba,
     /// The cached page contents.
-    data: Vec<u8>,
+    data: PageBuf,
 }
 
 /// Operational counters for a device.
@@ -80,11 +80,11 @@ pub struct Ssd {
     slots: Vec<SimTime>,
     /// Journal of writes whose destage may still be in flight, with the
     /// data they replaced (for volatile-cache power-loss rollback).
-    pending: Vec<(SimTime, Lba, Option<Vec<u8>>)>,
+    pending: Vec<(SimTime, Lba, Option<PageBuf>)>,
     powered: bool,
     last_seq_end: Option<u64>,
     streak: u32,
-    prefetched: HashMap<u64, (SimTime, Vec<u8>)>,
+    prefetched: HashMap<u64, (SimTime, PageBuf)>,
     /// LBA ranges `[start, end)` gated against block writes (the 2B-SSD
     /// "LBA checker"; unused unless a BA-buffer pins ranges).
     gated: Vec<(u64, u64)>,
@@ -312,7 +312,7 @@ impl Ssd {
         } else {
             None
         };
-        let ios = self.ftl.write(req.lba, &req.data)?;
+        let ios = self.ftl.write(req.lba, req.data)?;
         let end = self.schedule_ios(req.at, &ios);
         self.slots[req.slot] = self.slots[req.slot].max(end);
         if !self.cfg.capacitor_backed_cache {
@@ -630,26 +630,65 @@ impl Ssd {
     ///
     /// Fails when powered off, out of range, unaligned, or when the range
     /// is gated by the LBA checker.
+    ///
+    /// Splitting `data` into [`PageBuf`]s is the one copy this path costs;
+    /// a caller that already holds a page should use [`Ssd::write_page`].
     pub fn write(&mut self, now: SimTime, lba: Lba, data: &[u8]) -> Result<SimTime, SsdError> {
-        self.write_checks(lba, data)?;
+        let pages = data.chunks_exact(self.page_size()).map(PageBuf::from);
+        self.sync_write(now, lba, data.len(), pages)
+    }
+
+    /// Writes the one page `page` at `lba`, moving the handle through the
+    /// write cache and the FTL into NAND without copying its bytes.
+    /// Otherwise identical to [`Ssd::write`] of the same bytes.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Ssd::write`]; `page` must be exactly one page long.
+    pub fn write_page(
+        &mut self,
+        now: SimTime,
+        lba: Lba,
+        page: PageBuf,
+    ) -> Result<SimTime, SsdError> {
+        if page.len() != self.page_size() {
+            return Err(SsdError::UnalignedWrite {
+                got: page.len(),
+                page_size: self.page_size(),
+            });
+        }
+        self.sync_write(now, lba, page.len(), [page])
+    }
+
+    /// The synchronous write path shared by [`Ssd::write`] and
+    /// [`Ssd::write_page`]: `pages` (`len` bytes in all) are validated,
+    /// fetched by firmware and written.
+    fn sync_write(
+        &mut self,
+        now: SimTime,
+        lba: Lba,
+        len: usize,
+        pages: impl IntoIterator<Item = PageBuf>,
+    ) -> Result<SimTime, SsdError> {
+        self.write_checks(lba, len)?;
         self.catch_up(now)?;
         self.prune_pending(now);
         let fw_end = self.fetch_stage(now, self.cfg.fw_write);
-        self.write_body(fw_end, lba, data)
+        self.write_body(fw_end, lba, pages)
     }
 
     /// Validation shared by the synchronous and queued write paths: power,
-    /// alignment, capacity, and the LBA checker.
-    fn write_checks(&mut self, lba: Lba, data: &[u8]) -> Result<(), SsdError> {
+    /// alignment, capacity, and the LBA checker, for a `len`-byte write.
+    fn write_checks(&mut self, lba: Lba, len: usize) -> Result<(), SsdError> {
         self.check_power()?;
         let page_size = self.page_size();
-        if data.is_empty() || !data.len().is_multiple_of(page_size) {
+        if len == 0 || !len.is_multiple_of(page_size) {
             return Err(SsdError::UnalignedWrite {
-                got: data.len(),
+                got: len,
                 page_size,
             });
         }
-        let pages = (data.len() / page_size) as u32;
+        let pages = (len / page_size) as u32;
         self.check_range(lba, pages)?;
         if let Some(gated_lba) = self.gated_overlap(lba, pages) {
             self.stats.gated_writes += 1;
@@ -680,21 +719,29 @@ impl Ssd {
         lba: Lba,
         data: &[u8],
     ) -> Result<SimTime, SsdError> {
-        self.write_checks(lba, data)?;
+        self.write_checks(lba, data.len())?;
         self.catch_up(fw_end)?;
         self.prune_pending(fw_end);
-        self.write_body(fw_end, lba, data)
+        let pages = data.chunks_exact(self.page_size()).map(PageBuf::from);
+        self.write_body(fw_end, lba, pages)
     }
 
-    /// The host-transfer + cache-insert + destage stages of a write,
-    /// starting once firmware has decoded the command at `fw_end`.
-    fn write_body(&mut self, fw_end: SimTime, lba: Lba, data: &[u8]) -> Result<SimTime, SsdError> {
-        let page_size = self.page_size();
-        let pages = (data.len() / page_size) as u32;
-        let xfer = self.cfg.host_write_xfer(page_size as u64);
+    /// The host-transfer + cache-insert + destage stages of a write of
+    /// `pages` (validated, whole pages), starting once firmware has decoded
+    /// the command at `fw_end`. Each page handle moves into the cache and
+    /// on to the FTL; none is copied.
+    fn write_body(
+        &mut self,
+        fw_end: SimTime,
+        lba: Lba,
+        pages: impl IntoIterator<Item = PageBuf>,
+    ) -> Result<SimTime, SsdError> {
+        let xfer = self.cfg.host_write_xfer(self.page_size() as u64);
         self.current.firmware += self.cfg.fw_write;
         let mut ack = fw_end;
-        for (i, chunk) in data.chunks_exact(page_size).enumerate() {
+        let mut written = 0u32;
+        for (i, page) in pages.into_iter().enumerate() {
+            written += 1;
             let cur = Lba(lba.0 + i as u64);
             // Host transfer into the device.
             let link = self.host_write_link.schedule(fw_end, xfer);
@@ -722,7 +769,7 @@ impl Ssd {
                     at: inserted,
                     slot: slot_idx,
                     lba: cur,
-                    data: chunk.to_vec(),
+                    data: page,
                 });
                 ack = ack.max(inserted);
                 continue;
@@ -748,7 +795,7 @@ impl Ssd {
             self.current.slot_wait += inserted.saturating_since(arrived);
             // Destage to NAND in the background; the slot frees when the
             // program (and any GC it triggered) completes.
-            let ios = self.ftl.write(cur, chunk)?;
+            let ios = self.ftl.write(cur, page)?;
             let end = self.schedule_ios(inserted, &ios);
             self.slots[slot_idx] = end;
             if !self.cfg.capacitor_backed_cache {
@@ -757,13 +804,13 @@ impl Ssd {
             ack = ack.max(inserted);
         }
         self.stats.write_cmds += 1;
-        self.stats.pages_written += u64::from(pages);
+        self.stats.pages_written += u64::from(written);
         if self.trace.is_enabled() {
             self.trace.push_span(
                 fw_end,
                 ack,
                 "blk.write",
-                format!("{lba} x{pages} [{}]", self.current),
+                format!("{lba} x{written} [{}]", self.current),
             );
         }
         Ok(ack)
@@ -901,7 +948,7 @@ impl Ssd {
             let cur = Lba(lba.0 + i as u64);
             self.prefetched.remove(&cur.0);
             let staged = self.internal_engine.schedule(now, engine_per_page).end;
-            let ios = self.ftl.write(cur, chunk)?;
+            let ios = self.ftl.write(cur, PageBuf::from(chunk))?;
             complete_at = complete_at.max(self.schedule_ios(staged, &ios));
             self.stats.internal_pages += 1;
         }
@@ -941,7 +988,7 @@ impl Ssd {
         }
         // Roll back in-flight writes, newest first, restoring what the
         // medium held before them.
-        let mut lost: Vec<(SimTime, Lba, Option<Vec<u8>>)> = self
+        let mut lost: Vec<(SimTime, Lba, Option<PageBuf>)> = self
             .pending
             .drain(..)
             .filter(|(end, _, _)| *end > now)
@@ -949,8 +996,8 @@ impl Ssd {
         lost.sort_by_key(|(end, _, _)| std::cmp::Reverse(*end));
         for (_, lba, old) in lost {
             match old {
-                Some(bytes) => {
-                    let _ = self.ftl.write(lba, &bytes);
+                Some(page) => {
+                    let _ = self.ftl.write(lba, page);
                 }
                 None => {
                     let _ = self.ftl.trim(lba);

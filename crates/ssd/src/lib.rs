@@ -53,3 +53,4 @@ pub use queue::{
     Namespace, NvmeCompletion, NvmeEvent, NvmeOp, NvmeSsd, QdReport, QueueConfig, QueueFull,
 };
 pub use traits::BlockDevice;
+pub use twob_nand::PageBuf;

@@ -29,7 +29,7 @@ use twob_core::{
 };
 use twob_ftl::Lba;
 use twob_sim::SimTime;
-use twob_ssd::BlockDevice;
+use twob_ssd::{BlockDevice, PageBuf};
 
 use crate::{CommitOutcome, LogRecord, Lsn, WalConfig, WalError, WalStats, WalWriter};
 
@@ -453,7 +453,7 @@ impl TenantBlockWal {
 
     fn write_current_page(&mut self, at: SimTime) -> Result<SimTime, WalError> {
         let lba = self.current_lba();
-        let image = self.page_image.clone();
+        let image = PageBuf::from(&self.page_image[..]);
         let ack = run_op(
             &self.dev,
             &self.cal,

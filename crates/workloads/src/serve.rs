@@ -42,7 +42,7 @@ use twob_core::{
 use twob_db::DbError;
 use twob_ftl::Lba;
 use twob_sim::{EventQueue, Executor, Histogram, SimDuration, SimTime};
-use twob_ssd::{NvmeEvent, NvmeOp, NvmeSsd, QdReport, SsdConfig};
+use twob_ssd::{NvmeEvent, NvmeOp, NvmeSsd, PageBuf, QdReport, SsdConfig};
 
 use crate::arrival::{ArrivalConfig, ArrivalProcess};
 use crate::tenant::{TenantOutcome, TenantPool, TenantReport, WalScheme};
@@ -205,14 +205,6 @@ pub struct ServeReport {
     pub clamped_posts: u64,
 }
 
-/// FNV-1a-style fold, identical to the sharded calendar's digest mix so
-/// the two logs hash the same way.
-fn mix(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x0000_0100_0000_01b3).rotate_left(23)
-}
-
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
 /// The single event-loop owner of the workload layer. See the module docs.
 pub struct ServiceDriver;
 
@@ -365,6 +357,9 @@ impl ServiceDriver {
         let mut cal = IoCalendar::new();
         let mut measured: HashMap<u64, usize> = HashMap::with_capacity(plan.admitted.len());
         let mut block_seq = vec![0u64; usize::from(cfg.tenants)];
+        // Every block commit writes the same page: build it once and
+        // submit handles to it.
+        let commit_page = PageBuf::from(vec![0xA5; 4096]);
         for (index, op) in plan.admitted.iter().enumerate() {
             let at = op.submit_at + epoch;
             let id = match cfg.scheme {
@@ -393,7 +388,7 @@ impl ServiceDriver {
                         at,
                         IoOp::BlockWrite {
                             lba,
-                            data: vec![0xA5; 4096],
+                            data: commit_page.clone(),
                         },
                     );
                     cal.submit(at, IoOp::BlockFlush)
@@ -405,16 +400,11 @@ impl ServiceDriver {
         let clamped = cal.clamped_posts();
         let mut completions = cal.drain_completions();
         completions.sort_unstable_by_key(|c| (c.complete_at, c.id));
-        let digest = completions.iter().fold(FNV_BASIS, |h, c| {
-            mix(
-                mix(mix(h, c.complete_at.as_nanos()), c.id),
-                u64::from(c.error.is_some()),
-            )
-        });
         let observed: Vec<(u64, SimTime, bool)> = completions
             .into_iter()
             .map(|c| (c.id, c.complete_at, c.error.is_some()))
             .collect();
+        let digest = ShardedIoCalendar::log_digest(&observed);
         Self::assemble(cfg, &plan, epoch, &measured, &observed, digest, clamped)
     }
 
@@ -502,6 +492,7 @@ impl ServiceDriver {
         );
         let mut measured: HashMap<u64, usize> = HashMap::with_capacity(plan.admitted.len());
         let mut block_seq = vec![0u64; usize::from(cfg.tenants)];
+        let commit_page = PageBuf::from(vec![0xA5; 4096]);
         for (index, op) in plan.admitted.iter().enumerate() {
             let at = op.submit_at + epoch;
             let group = usize::from(op.tenant) % groups;
@@ -536,7 +527,7 @@ impl ServiceDriver {
                         group,
                         IoOp::BlockWrite {
                             lba,
-                            data: vec![0xA5; 4096],
+                            data: commit_page.clone(),
                         },
                     );
                     cal.submit(at, group, IoOp::BlockFlush)
@@ -550,6 +541,7 @@ impl ServiceDriver {
             ShardDrive::Parallel(threads) => cal.run_parallel(threads),
         }
         assert_eq!(cal.unresolved_chains(), 0, "no dangling op chains");
+        // Sort the observation log once; its digest folds the same order.
         let observed = cal.observed_log();
         Self::assemble(
             cfg,
@@ -557,7 +549,7 @@ impl ServiceDriver {
             epoch,
             &measured,
             &observed,
-            cal.host_digest(),
+            ShardedIoCalendar::log_digest(&observed),
             cal.clamped_posts(),
         )
     }
